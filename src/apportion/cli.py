@@ -217,20 +217,12 @@ def _cmd_estimate(args) -> int:
     outputs = ["phi_hat.csv", "h_star_hat.csv", "m_tilde.csv", "diagnostics.json"]
     if est.candidates is not None:
         cands = est.candidates
-        selected = set()
-        for k in range(est.h_star_hat.shape[0]):
-            matches = np.flatnonzero(
-                (cands.ystar == est.h_star_hat[k]).all(axis=1)
-            )
-            if matches.size:
-                selected.add(int(matches[0]))
+        selected = set(est.diagnostics.subset_rows)
         header = ["candidate_row"] + [f"z{i + 1}" for i in range(cands.z.shape[1])]
         header.append("selected")
         rows = (
-            [int(cands.indices[i])]
-            + [_fmt(v) for v in cands.z[i]]
-            + [1 if i in selected else 0]
-            for i in range(len(cands.indices))
+            [int(row)] + [_fmt(v) for v in z] + [1 if row in selected else 0]
+            for row, z in zip(cands.indices, cands.z)
         )
         _write_rows(out / "hull_scatter.csv", header, rows)
         outputs.append("hull_scatter.csv")

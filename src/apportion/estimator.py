@@ -166,12 +166,21 @@ class CandidateSet:
 
 @dataclass(frozen=True)
 class Diagnostics:
+    """Why the estimate came out as it did.
+
+    ``subset_rows`` holds the chosen profile rows as indices into the
+    normalized data (the convention of ``CandidateSet.indices``), in the
+    order of the rows of the profile estimate; it is empty for K = 1,
+    whose profile is the mean row.
+    """
+
     r_b: int
     n_hull_vertices: int
     n_candidates_after_prune: int
     log_volume: float
     search_used: str
     warnings: tuple[str, ...] = ()
+    subset_rows: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -425,6 +434,11 @@ def apportion(y: ConcentrationMatrix, cfg: EstimatorConfig) -> ApportionmentEsti
         log_volume=subset.log_volume,
         search_used=used,
         warnings=tuple(str(w.message) for w in caught),
+        subset_rows=(
+            tuple(int(cands.indices[i]) for i in subset.indices)
+            if cands is not None
+            else ()
+        ),
     )
     return ApportionmentEstimate(hstar, m_tilde, phi, diag, cands)
 

@@ -4,11 +4,16 @@ Point clouds are plain (n, d) float arrays with rows as points.  All
 functions here are pure and deterministic: ties in any argmax/argmin are
 broken by the smallest index, and subset searches return the
 lexicographically smallest maximizing index tuple.
+
+The exhaustive max-volume search is screened, then exactly rescored: a
+cheap elementwise Gram elimination bounds every subset's log-volume, and
+only the subsets whose bound can reach the best exact score are scored by
+the exact (slogdet) routine.  The result, including the lexicographic
+tie-break, is bitwise that of scoring every subset exactly.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -32,16 +37,29 @@ SWAP_GAIN_TOL = 1e-12
 _DET_FLOOR = 1e-300
 _LOG_DET_FLOOR = math.log(_DET_FLOOR)
 
-_BATCH = 1 << 16
+# Relative slack of the screened Gram determinant, in units of the product
+# of the Gram diagonal (Hadamard's bound on the determinant).  Elimination
+# on a Gram matrix is backward stable relative to that product, so the
+# screen and the exact slogdet route both err by a small multiple of
+# (K + d) * 2**-52 of it; bounds this wide hold the exact score with orders
+# of magnitude to spare.  Near the best subset it is about 1e-6 in log-det
+# units.
+_SCREEN_SLACK = 1e-7
+# The screened products of K - 1 squared edge lengths must stay within
+# [1 / _SCREEN_SPAN, _SCREEN_SPAN]; blocks whose edges fall outside are
+# scored exactly without a screen.
+_SCREEN_SPAN = 1e250
+# Margin against rounding when a score threshold is taken back to a
+# determinant by exp().
+_THRESHOLD_MARGIN = 1e-10
 
 
 @dataclass(frozen=True)
 class ProjectionBasis:
     """Affine map from row-stochastic J-space into intrinsic coordinates.
 
-    ``transform`` sends rows y (with the last coordinate dropped and the
-    stored mean subtracted) to y_c @ basis; the basis columns are
-    orthonormal.
+    A row y (with the last coordinate dropped and the stored mean
+    subtracted) maps to y_c @ basis; the basis columns are orthonormal.
     """
 
     mean_offset: np.ndarray  # (J-1,)
@@ -54,10 +72,6 @@ class ProjectionBasis:
             raise ValueError("basis columns are not orthonormal")
         if not 1 <= self.rank <= self.basis.shape[0]:
             raise ValueError("rank outside [1, J-1]")
-
-    def transform(self, rows: np.ndarray) -> np.ndarray:
-        rows = np.atleast_2d(np.asarray(rows, dtype=float))
-        return (rows[:, :-1] - self.mean_offset) @ self.basis
 
 
 @dataclass(frozen=True)
@@ -213,15 +227,115 @@ def simplex_log_volume(vertices: np.ndarray) -> float:
     return float(0.5 * logdet - math.lgamma(k))
 
 
-def _combo_chunks(m: int, k: int, chunk: int | None = None):
-    if chunk is None:
-        chunk = _BATCH
-    it = itertools.combinations(range(m), k)
-    while True:
-        block = list(itertools.islice(it, chunk))
-        if not block:
-            return
-        yield np.asarray(block, dtype=np.intp)
+def _leading_blocks(m: int, k: int, tail: np.ndarray):
+    # tail holds every (k-1)-subset of range(m) in lexicographic order; the
+    # ones inside {a+1, ..., m-1} are exactly its last C(m-a-1, k-1) rows.
+    for a in range(m - k + 1):
+        count = math.comb(m - a - 1, k - 1)
+        block = np.empty((count, k), dtype=np.intp)
+        block[:, 0] = a
+        block[:, 1:] = tail[len(tail) - count :]
+        yield block
+
+
+def combo_blocks(m: int, k: int):
+    """The k-subsets of range(m) in lexicographic order, as (rows, k) arrays.
+
+    One block per leading index a, built by slicing the (k-1)-subset
+    table, so no Python code runs per subset and memory holds one block
+    plus that table rather than all C(m, k) subsets.  The trailing k-1
+    columns of each block are a suffix of the previous block's, so work
+    on them can be done once, on the first block.
+    """
+    if not 1 <= k <= m:
+        raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
+    tail = np.empty((1, 0), dtype=np.intp)
+    for width in range(1, k):
+        tail = np.concatenate(list(_leading_blocks(m, width, tail)))
+    yield from _leading_blocks(m, k, tail)
+
+
+def _screened_determinants(
+    edges: list[list[np.ndarray]], diag: list[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gram determinants of many simplices, and Hadamard's bound for each.
+
+    ``edges[i][j]`` holds coordinate j of edge i for every simplex, and
+    ``diag[i]`` its squared length.  Off-diagonal Gram entries are
+    elementwise sums of products; the determinant is the product of the
+    pivots of elimination without pivoting, which a positive semi-definite
+    Gram matrix allows.  A pivot that is not positive (the simplex is
+    degenerate to rounding) gives determinant 0.
+    """
+    n = len(edges)
+    gram = [[None] * n for _ in range(n)]
+    for i in range(n):
+        gram[i][i] = diag[i]
+        for j in range(i + 1, n):
+            gram[i][j] = sum(x * y for x, y in zip(edges[i], edges[j]))
+    det = diag[0].copy()
+    bound = diag[0].copy()
+    positive = diag[0] > 0.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i in range(n - 1):
+            for j in range(i + 1, n):
+                factor = gram[i][j] / gram[i][i]
+                for q in range(j, n):
+                    gram[j][q] = gram[j][q] - factor * gram[i][q]
+            # Computed pivots never exceed the diagonal, so positive ones
+            # keep det within [0, bound].
+            positive &= gram[i + 1][i + 1] > 0.0
+            det *= gram[i + 1][i + 1]
+            bound *= diag[i + 1]
+    return np.where(positive, det, 0.0), bound
+
+
+def _screened_rows(
+    columns: list[np.ndarray],
+    lead: int,
+    tails: list[np.ndarray],
+    tail_coords: list[list[np.ndarray]],
+    count: int,
+    best_lv: float,
+) -> np.ndarray | None:
+    """Rows of the block led by ``lead`` whose exact score could be best.
+
+    Returns None when the block's edge lengths are out of the screen's
+    range, so every row must be scored exactly.  Otherwise the threshold
+    is the best exact score so far, or the score of the block's best
+    screened lower bound if higher; some scored row reaches either.  A
+    skipped row's exact determinant is below its screened determinant
+    plus the slack, which is below the threshold's determinant, so the
+    row is strictly worse than the final best.
+    """
+    k = len(tails) + 1
+    later = slice(lead + 1, None)
+    with np.errstate(over="ignore", under="ignore"):
+        sq = sum((c - c[lead]) ** 2 for c in columns)
+    same = np.logical_and.reduce([c[later] == c[lead] for c in columns])
+    span = _SCREEN_SPAN ** (1.0 / (k - 1))
+    if not np.all(same | ((sq[later] >= 1.0 / span) & (sq[later] <= span))):
+        return None
+    edges = [
+        [x[len(x) - count :] - c[lead] for x, c in zip(coords, columns)]
+        for coords in tail_coords
+    ]
+    diag = [sq[t[len(t) - count :]] for t in tails]
+    det, bound = _screened_determinants(edges, diag)
+    slack = _SCREEN_SLACK * bound
+    shift = math.lgamma(k)
+    threshold = best_lv
+    lower = float((det - slack).max())
+    if lower > 0.0 and math.log(lower) > _LOG_DET_FLOOR + 1.0:
+        threshold = max(threshold, 0.5 * math.log(lower) - shift)
+    if threshold == -math.inf:
+        return np.arange(count)
+    log_cut = 2.0 * (threshold + shift)
+    if log_cut > math.log(_SCREEN_SPAN) + 1.0:
+        # Beyond every determinant the screen admits (bound <= span).
+        return np.arange(0)
+    cut = math.exp(log_cut) * (1.0 - _THRESHOLD_MARGIN)
+    return np.flatnonzero(det + slack >= cut)
 
 
 def max_volume_exhaustive(
@@ -229,9 +343,12 @@ def max_volume_exhaustive(
 ) -> VertexSubset:
     """Globally best K-subset by simplex volume, enumerated exhaustively.
 
-    Enumeration is lexicographic and a new subset is accepted only when
-    strictly better, so ties resolve to the smallest index tuple; the
-    result is independent of internal chunking.
+    Enumeration is lexicographic, one leading-index block at a time.  Each
+    block is screened first, and only the subsets whose screened bound can
+    reach the best exact score are scored exactly.  A skipped subset is
+    strictly worse than the final best, so accepting a new subset only
+    when strictly better resolves ties to the smallest index tuple,
+    exactly as in a scan that scores every subset.
     """
     pts = np.asarray(candidates, dtype=float)
     m = pts.shape[0]
@@ -241,9 +358,24 @@ def max_volume_exhaustive(
     if total > budget:
         raise BudgetExceeded(f"{total} subsets exceed budget {budget}")
 
+    columns = [np.ascontiguousarray(pts[:, j]) for j in range(pts.shape[1])]
     best_lv = -math.inf
     best: tuple[int, ...] | None = None
-    for combos in _combo_chunks(m, k):
+    tails = None
+    for combos in combo_blocks(m, k):
+        if tails is None:
+            # Later blocks' trailing columns are suffixes of these.
+            tails = [np.ascontiguousarray(combos[:, i]) for i in range(1, k)]
+            tail_coords = [[c[t] for c in columns] for t in tails]
+        rows = None
+        if k >= 2:
+            rows = _screened_rows(
+                columns, int(combos[0, 0]), tails, tail_coords, len(combos), best_lv
+            )
+        if rows is not None:
+            if rows.size == 0:
+                continue
+            combos = combos[rows]
         lv = _batch_log_volumes(pts, combos)
         i = int(np.argmax(lv))
         if lv[i] > best_lv:

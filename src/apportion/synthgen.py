@@ -133,19 +133,22 @@ def _maximin_subset(points: np.ndarray, k: int) -> tuple[int, ...]:
         )
     diff = points[:, None, :] - points[None, :, :]
     dist2 = (diff**2).sum(axis=2)
-    pair_slots = list(itertools.combinations(range(k), 2))
     best_val = -1.0
     best: tuple[int, ...] | None = None
-    it = itertools.combinations(range(m), k)
-    while True:
-        block = list(itertools.islice(it, 1 << 16))
-        if not block:
-            break
-        combos = np.asarray(block, dtype=np.intp)
-        score = np.min(
-            np.stack([dist2[combos[:, a], combos[:, b]] for a, b in pair_slots]),
-            axis=0,
-        )
+    tails = None
+    for combos in geometry.combo_blocks(m, k):
+        count = len(combos)
+        if tails is None:
+            # Later blocks' trailing columns are suffixes of the first
+            # block's, so the pairs among them are scored once.
+            tails = [np.ascontiguousarray(combos[:, i]) for i in range(1, k)]
+            tail_score = np.full(count, np.inf)
+            for i, j in itertools.combinations(range(k - 1), 2):
+                np.minimum(tail_score, dist2[tails[i], tails[j]], out=tail_score)
+        lead = dist2[combos[0, 0]]
+        score = tail_score[len(tail_score) - count :].copy()
+        for t in tails:
+            np.minimum(score, lead[t[len(t) - count :]], out=score)
         i = int(np.argmax(score))
         if score[i] > best_val:
             best_val = float(score[i])

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 
@@ -110,6 +111,36 @@ class TestEstimateCommand:
         scatter = read_csv(est / "hull_scatter.csv")
         assert scatter[0][-1] == "selected"
         assert sum(int(r[-1]) for r in scatter[1:]) == 3
+
+    def test_selected_rows_marked_by_index(self, tmp_path, monkeypatch):
+        # Every row appears twice; at rank 10 (above the hull dimension cap)
+        # all rows are candidates, so each candidate row has an identical
+        # twin.  The search is made to pick the later twins, which a match
+        # on coordinates would not mark.
+        from apportion import estimator
+
+        rng = np.random.default_rng(8)
+        base = rng.lognormal(size=(15, 12))
+        path = tmp_path / "y.csv"
+        lines = [",".join(f"P{j}" for j in range(12))]
+        lines += [",".join(repr(float(v)) for v in row) for row in np.vstack([base, base])]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        select = estimator._select_max_volume
+
+        def pick_later_twins(z, cfg):
+            subset, used = select(z, cfg)
+            later = tuple(i + 15 if i < 15 else i for i in subset.indices)
+            return dataclasses.replace(subset, indices=later), used
+
+        monkeypatch.setattr(estimator, "_select_max_volume", pick_later_twins)
+        est = tmp_path / "est"
+        args = ["estimate", "--input", str(path), "--K", "3", "--rank-cap", "10"]
+        assert main(args + ["--out", str(est)]) == 0
+        diag = json.loads((est / "diagnostics.json").read_text())
+        assert all(r >= 15 for r in diag["subset_rows"])
+        scatter = read_csv(est / "hull_scatter.csv")[1:]
+        marked = [int(r[0]) for r in scatter if r[-1] == "1"]
+        assert marked == sorted(diag["subset_rows"])
 
     def test_missing_input_is_nonzero_exit(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as err:

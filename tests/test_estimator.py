@@ -268,6 +268,20 @@ class TestApportion:
         est = apportion(doubled, EstimatorConfig(K=3))
         assert np.abs(est.phi_hat.values.sum(axis=0) - 1.0).max() <= 1e-10
 
+    def test_subset_rows_index_the_normalized_data(self):
+        rng = np.random.default_rng(56)
+        y, _, _ = separable_data(rng, n=80)
+        # Leading zero rows are dropped, so normalized-data indices differ
+        # from row numbers of Y.
+        vals = np.vstack([np.zeros((2, y.values.shape[1])), y.values])
+        est = apportion(ConcentrationMatrix(vals), EstimatorConfig(K=3))
+        rows = est.diagnostics.subset_rows
+        assert len(rows) == 3
+        assert set(rows) <= set(est.candidates.indices.tolist())
+        with pytest.warns(DroppedRowsWarning):
+            data = row_normalize(ConcentrationMatrix(vals))
+        np.testing.assert_array_equal(data.ystar[list(rows)], est.h_star_hat)
+
     def test_single_source(self):
         rng = np.random.default_rng(54)
         hstar = rng.dirichlet(np.ones(4))[None, :]
@@ -275,6 +289,7 @@ class TestApportion:
         est = apportion(ConcentrationMatrix(w @ hstar), EstimatorConfig(K=1))
         np.testing.assert_array_equal(est.phi_hat.values, np.ones((1, 4)))
         assert est.diagnostics.search_used == "direct"
+        assert est.diagnostics.subset_rows == ()
 
     def test_stage_label_on_failure(self):
         y = ConcentrationMatrix(np.tile([[1.0, 2.0, 1.0]], (5, 1)))

@@ -1,8 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import det_log_volume, lp_hull_vertices
@@ -15,13 +16,39 @@ from apportion.exceptions import (
     RankDeficientWarning,
 )
 from apportion.geometry import (
+    _batch_log_volumes,
     affine_right_inverse,
+    combo_blocks,
     hull_vertices,
     intrinsic_projection,
     max_volume_exhaustive,
     max_volume_greedy,
     simplex_log_volume,
 )
+
+
+def exact_scan(pts, k):
+    """Score every k-subset exactly in one batch; the first maximum wins.
+
+    Returns (indices, log_volume), or None when every subset is degenerate.
+    """
+    combos = np.asarray(list(itertools.combinations(range(len(pts)), k)), dtype=np.intp)
+    lv = _batch_log_volumes(np.asarray(pts, dtype=float), combos)
+    i = int(np.argmax(lv))
+    if lv[i] == -math.inf:
+        return None
+    return tuple(int(c) for c in combos[i]), float(lv[i])
+
+
+def assert_matches_exact_scan(pts, k):
+    expected = exact_scan(pts, k)
+    if expected is None:
+        with pytest.raises(AllDegenerate):
+            max_volume_exhaustive(pts, k)
+        return
+    result = max_volume_exhaustive(pts, k)
+    assert result.indices == expected[0]
+    assert result.log_volume.hex() == expected[1].hex()
 
 
 def triangle_cloud(rng, n, corners=None):
@@ -145,6 +172,26 @@ class TestSimplexLogVolume:
         assert simplex_log_volume(moved) == pytest.approx(base, abs=1e-9)
 
 
+class TestComboBlocks:
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_concatenation_is_itertools_order(self, m):
+        for k in range(1, m + 1):
+            blocks = list(combo_blocks(m, k))
+            expected = np.asarray(list(itertools.combinations(range(m), k)))
+            assert np.array_equal(np.concatenate(blocks), expected)
+            # One block per leading index, each trailing part a suffix of
+            # the previous one (both searches rely on it).
+            assert [int(b[0, 0]) for b in blocks] == list(range(m - k + 1))
+            assert all((b[:, 0] == b[0, 0]).all() for b in blocks)
+            for prev, cur in zip(blocks, blocks[1:]):
+                assert np.array_equal(cur[:, 1:], prev[len(prev) - len(cur) :, 1:])
+
+    @pytest.mark.parametrize("m,k", [(3, 0), (3, 4)])
+    def test_rejects_out_of_range_k(self, m, k):
+        with pytest.raises(ValueError):
+            next(combo_blocks(m, k))
+
+
 class TestMaxVolumeExhaustive:
     def test_corners_beat_centroid(self):
         pts = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [2.0 / 3, 2.0 / 3]])
@@ -181,18 +228,67 @@ class TestMaxVolumeExhaustive:
         with pytest.raises(AllDegenerate):
             max_volume_exhaustive(pts, 3)
 
-    def test_result_independent_of_chunking(self, monkeypatch):
-        from apportion import geometry
-
+    def test_result_independent_of_chunking(self):
+        # Block-wise screened search against one exact batch over all subsets.
         rng = np.random.default_rng(61)
         pts = np.vstack(
             [rng.normal(size=(12, 2)), [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]]
         )
-        baseline = max_volume_exhaustive(pts, 3)
-        for chunk in (1, 3, 7):
-            monkeypatch.setattr(geometry, "_BATCH", chunk)
-            assert max_volume_exhaustive(pts, 3) == baseline
+        assert_matches_exact_scan(pts, 3)
+        # Every point twice: each maximal subset ties exactly with 2**3 - 1
+        # others, and the lexicographically smallest must win.
+        assert_matches_exact_scan(np.vstack([pts, pts]), 3)
+        corners = pts[12:]
+        assert_matches_exact_scan(np.vstack([corners, corners, pts]), 3)
 
+    @pytest.mark.parametrize("scale", [1e130, 1e-130])
+    def test_unscreened_blocks_match_exact_scan(self, scale):
+        # Edge lengths outside the screen's range (one far point, or the
+        # whole cloud at an extreme scale) are scored exactly; with the far
+        # point, later blocks are screened against a best score above any
+        # determinant the screen admits.
+        rng = np.random.default_rng(62)
+        for k in (3, 4):
+            pts = np.vstack([np.eye(1, k - 1) * scale, rng.normal(size=(8, k - 1))])
+            assert_matches_exact_scan(pts, k)
+            assert_matches_exact_scan(rng.normal(size=(9, k - 1)) * scale, k)
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 5),
+        st.sampled_from([-1, 1]),
+        st.integers(0, 7),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_matches_exact_scan(self, seed, k, dim_offset, extra, duplicate, near):
+        rng = np.random.default_rng(seed)
+        pts = rng.normal(size=(k + extra, k + dim_offset))
+        if duplicate:
+            pts = np.vstack([pts, pts[rng.integers(len(pts), size=2)]])
+        if near:
+            picks = pts[rng.integers(len(pts), size=2)]
+            pts = np.vstack([pts, picks + 1e-13 * rng.normal(size=picks.shape)])
+        assert_matches_exact_scan(pts, k)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(3, 5),
+        st.integers(2, 4),
+        st.integers(0, 5),
+    )
+    @example(seed=2, k=3, d=2, extra=2)  # the exact scan finds no volume
+    @example(seed=0, k=3, d=2, extra=2)  # rounding leaves one finite volume
+    def test_collinear_matches_exact_scan(self, seed, k, d, extra):
+        # Integer positions on an integer direction: the exact scan finds
+        # every subset degenerate for most draws, and then the search must
+        # raise AllDegenerate.
+        rng = np.random.default_rng(seed)
+        direction = rng.integers(1, 4, size=d).astype(float)
+        positions = rng.integers(-8, 9, size=k + extra).astype(float)
+        assert_matches_exact_scan(positions[:, None] * direction, k)
 
 class TestMaxVolumeGreedy:
     def test_exactly_k_candidates(self):

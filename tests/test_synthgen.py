@@ -1,13 +1,18 @@
+import hashlib
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from apportion.synthgen import (
     LogAR1Params,
     LognormalMixtureParams,
     RngSpec,
+    _maximin_subset,
     draw_ar1_params,
     draw_mixture_params,
     generate_profile_matrix,
@@ -18,6 +23,19 @@ from apportion.synthgen import (
     simulate_lognormal_mixture,
     true_phi,
 )
+
+
+def maximin_reference(points, k):
+    """First K-subset in itertools order with the largest minimum
+    pairwise squared distance."""
+    diff = points[:, None, :] - points[None, :, :]
+    dist2 = (diff**2).sum(axis=2)
+    best_val, best = -1.0, None
+    for combo in itertools.combinations(range(len(points)), k):
+        val = min((dist2[a, b] for a, b in itertools.combinations(combo, 2)), default=math.inf)
+        if val > best_val:
+            best_val, best = val, combo
+    return best
 
 
 def lag1_autocorr(x):
@@ -41,6 +59,37 @@ class TestProfileMatrix:
         a = generate_profile_matrix(6, 3, 40, RngSpec(3, 5))
         b = generate_profile_matrix(6, 3, 40, RngSpec(3, 5))
         np.testing.assert_array_equal(a, b)
+
+
+    @pytest.mark.parametrize(
+        "seed,digest",
+        [
+            (0, "f6788f1b0afffb70b20f133f5fe29f4ced972993931a16b0adc265f9666af624"),
+            (1, "e28667a2e4d182a6f92c0838cead496d4d4c5d5901af8b1e1501047094585f30"),
+            (2, "74116691cf1b2a38044ef0e79f41fa02bf7081d4fe6ea8ffd72732c813a570f4"),
+        ],
+    )
+    def test_bytes_pinned(self, seed, digest):
+        # Digests of the output of a plain itertools maximin enumeration.
+        h = generate_profile_matrix(8, 4, 40, RngSpec(seed))
+        assert hashlib.sha256(h.tobytes()).hexdigest() == digest
+
+
+class TestMaximinSubset:
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 5),
+        st.integers(0, 7),
+        st.integers(1, 4),
+        st.booleans(),
+    )
+    def test_matches_itertools_reference(self, seed, k, extra, d, grid):
+        rng = np.random.default_rng(seed)
+        points = rng.normal(size=(k + extra, d))
+        if grid:
+            points = np.round(points)  # many exactly tied distances
+        assert _maximin_subset(points, k) == maximin_reference(points, k)
 
 
 class TestLogAR1:
