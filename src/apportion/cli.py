@@ -16,6 +16,7 @@ import json
 import os
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,9 @@ from .synthgen import RngSpec, make_ground_truth
 WORKERS_ENV = "APPORTION_WORKERS"
 
 _FMT = "%.17g"
+# Rows formatted per write.  A block is all a write holds as Python floats
+# (about 0.5 MB at J=8); the whole matrix would be about 130 MB at n=5e5.
+_WRITE_BLOCK_ROWS = 2048
 
 
 def _fmt(value: float) -> str:
@@ -54,8 +58,17 @@ def _write_rows(path: Path, header: list[str], rows) -> None:
 
 
 def _write_matrix(path: Path, matrix: np.ndarray, names) -> None:
-    rows = ([_fmt(v) for v in row] for row in np.atleast_2d(matrix))
-    _write_rows(path, list(names), rows)
+    """Header through ``csv.writer``, then the body one block of rows per
+    ``%`` format.  ``csv.writer`` never quotes a ``%.17g`` field, so the
+    bytes are those of writing every row through it.
+    """
+    matrix = np.atleast_2d(matrix)
+    line = ",".join([_FMT] * matrix.shape[1]) + "\n"
+    with _open_write(path) as fh:
+        csv.writer(fh, lineterminator="\n").writerow(list(names))
+        for start in range(0, len(matrix), _WRITE_BLOCK_ROWS):
+            block = matrix[start : start + _WRITE_BLOCK_ROWS]
+            fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def _write_labeled_matrix(path: Path, matrix: np.ndarray, labels, names) -> None:
@@ -80,37 +93,69 @@ def _read_labeled_matrix(path: Path):
 def load_concentrations(path: str | Path, format: str = "csv") -> ConcentrationMatrix:
     """Parse a concentration CSV: header of pollutant names, numeric body.
 
-    Rejects negatives and non-finite values with 1-based (line, column)
-    coordinates in the error.
+    The header is read by ``csv.reader`` and the body by ``np.loadtxt``.
+    That result is kept only when it has at least one row of the header's
+    width and every value is finite and non-negative; loadtxt converts
+    decimals with correct rounding, so the values are bitwise those of
+    ``float(cell)``.  Otherwise the cell-wise parser reads the file again
+    and raises the error, with 1-based (line, column) coordinates, for
+    negatives, non-finite values and malformed cells or rows.
     """
     if format != "csv":
         raise ValueError(f"unsupported format {format!r}")
-    path = Path(path)
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            names = next(reader)
-        except StopIteration:
-            raise ParseError(1, 1, "empty file") from None
-        width = len(names)
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != width:
-                raise ParseError(line_no, 1, f"expected {width} fields, got {len(row)}")
-            parsed = []
-            for col_no, cell in enumerate(row, start=1):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise ParseError(line_no, col_no, f"not a number: {cell!r}") from None
-                if not np.isfinite(value):
-                    raise NonFinite(line_no, col_no)
-                if value < 0:
-                    raise NegativeValue(line_no, col_no)
-                parsed.append(value)
-            rows.append(parsed)
+    with open(Path(path), encoding="utf-8", newline="") as fh:
+        names = next(csv.reader(fh), None)
+        if names is not None:
+            values = _loadtxt_body(fh, len(names))
+            if values is not None:
+                return ConcentrationMatrix(values, tuple(names))
+        fh.seek(0)
+        return _load_cellwise(fh)
+
+
+def _loadtxt_body(fh, width: int) -> np.ndarray | None:
+    """The rest of ``fh`` as an (n, width) array, or None if it is not a
+    valid body."""
+    try:
+        with warnings.catch_warnings():
+            # A file with no data rows warns; the cell-wise parser reports it.
+            warnings.simplefilter("ignore")
+            values = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, dtype=float)
+    except ValueError:
+        return None
+    if values.shape[0] == 0 or values.shape[1] != width:
+        return None
+    if not np.isfinite(values).all() or (values < 0).any():
+        return None
+    return values
+
+
+def _load_cellwise(fh) -> ConcentrationMatrix:
+    """Parse cell by cell, raising at the first bad cell or row."""
+    reader = csv.reader(fh)
+    try:
+        names = next(reader)
+    except StopIteration:
+        raise ParseError(1, 1, "empty file") from None
+    width = len(names)
+    rows = []
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != width:
+            raise ParseError(line_no, 1, f"expected {width} fields, got {len(row)}")
+        parsed = []
+        for col_no, cell in enumerate(row, start=1):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise ParseError(line_no, col_no, f"not a number: {cell!r}") from None
+            if not np.isfinite(value):
+                raise NonFinite(line_no, col_no)
+            if value < 0:
+                raise NegativeValue(line_no, col_no)
+            parsed.append(value)
+        rows.append(parsed)
     if not rows:
         raise ParseError(2, 1, "no data rows")
     return ConcentrationMatrix(np.asarray(rows), tuple(names))

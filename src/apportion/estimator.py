@@ -58,7 +58,8 @@ class ConcentrationMatrix:
             raise ValueError("concentrations must be finite")
         if vals.min() < 0:
             raise ValueError("concentrations must be non-negative")
-        if (vals.sum(axis=0) == 0).any():
+        # Not a column sum: that overflows, with a warning, near 1e308.
+        if not (vals > 0).any(axis=0).all():
             raise ValueError("every pollutant column needs a nonzero entry")
         if not self.pollutant_names:
             object.__setattr__(

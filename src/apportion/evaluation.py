@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment, minimize
 
 from . import geometry
 from .estimator import ApportionmentEstimate, EstimatorConfig, apportion
@@ -105,6 +104,8 @@ def align_rows(phi_true: np.ndarray, phi_hat: np.ndarray) -> AlignmentResult:
     if a.shape[0] <= 8:
         perm, total = _brute_force_assignment(cost)
     else:
+        from scipy.optimize import linear_sum_assignment
+
         rows, cols = linear_sum_assignment(cost)
         perm = tuple(int(c) for c in cols)
         total = float(cost[rows, cols].sum())
@@ -224,6 +225,8 @@ def _qp_distance(point: np.ndarray, vertices: np.ndarray) -> float:
     """Simplex-constrained least squares via SLSQP, with an exact affine
     re-projection on the detected support; each candidate value is the
     distance to a feasible hull point, so the minimum is a valid bound."""
+    from scipy.optimize import minimize
+
     best = float(np.linalg.norm(vertices - point, axis=1).min())
     if best == 0.0:
         return best

@@ -133,34 +133,13 @@ def _affine_rank(z: np.ndarray) -> int:
     return int(np.count_nonzero(sing > len(z) * np.finfo(float).eps * sing[0]))
 
 
-def _monotone_chain(z: np.ndarray) -> np.ndarray:
-    """Indices of the strict 2-D hull vertices (collinear points dropped)."""
-    order = np.lexsort((z[:, 1], z[:, 0]))
-
-    def cross(o, a, b):
-        return (z[a, 0] - z[o, 0]) * (z[b, 1] - z[o, 1]) - (z[a, 1] - z[o, 1]) * (
-            z[b, 0] - z[o, 0]
-        )
-
-    def half(indices):
-        chain: list[int] = []
-        for i in indices:
-            while len(chain) >= 2 and cross(chain[-2], chain[-1], i) <= 0.0:
-                chain.pop()
-            chain.append(int(i))
-        return chain
-
-    lower = half(order)
-    upper = half(order[::-1])
-    return np.unique(lower[:-1] + upper[:-1])
-
-
 def hull_vertices(z: np.ndarray, hull_dim_max: int = HULL_DIM_MAX) -> np.ndarray:
     """Sorted indices of the extreme points of the cloud's convex hull.
 
-    1-D clouds reduce to argmin/argmax; 2-D uses a monotone chain; 3-D up
-    to ``hull_dim_max`` uses qhull with one jittered retry on degenerate
-    facet errors.  Points lying inside facets or edges are not vertices.
+    1-D clouds reduce to argmin/argmax; 2 up to ``hull_dim_max`` dimensions
+    use qhull with one jittered retry on degenerate facet errors.  Points
+    lying inside facets or edges are not vertices.  Of exact duplicate
+    vertex rows at least one is returned; which one is not specified.
 
     Raises DegenerateCloud when the points span fewer than d dimensions
     (reduce the projection rank instead), HullDimensionExceeded above
@@ -181,8 +160,6 @@ def hull_vertices(z: np.ndarray, hull_dim_max: int = HULL_DIM_MAX) -> np.ndarray
 
     if d == 1:
         return np.unique([int(np.argmin(z[:, 0])), int(np.argmax(z[:, 0]))])
-    if d == 2:
-        return _monotone_chain(z)
     try:
         return np.unique(ConvexHull(z).vertices)
     except QhullError:
@@ -405,7 +382,10 @@ def max_volume_greedy(
 
     Each sweep tries replacing one vertex at a time by every candidate and
     accepts a swap only when the log-volume strictly improves by more than
-    SWAP_GAIN_TOL; terminates after a sweep with no accepted swap.
+    SWAP_GAIN_TOL; terminates after a sweep with no accepted swap.  The
+    reported log-volume is scored with the indices in sorted order, as the
+    exhaustive search scores them, so both report bitwise the same value
+    for the same subset; the indices keep their search order.
     """
     pts = np.asarray(candidates, dtype=float)
     m = pts.shape[0]
@@ -432,7 +412,8 @@ def max_volume_greedy(
             break
     if current_lv == -math.inf:
         raise AllDegenerate("no K candidates are affinely independent")
-    return VertexSubset(tuple(current), current_lv)
+    sorted_lv = _batch_log_volumes(pts, np.asarray([sorted(current)]))[0]
+    return VertexSubset(tuple(current), float(sorted_lv))
 
 
 def affine_right_inverse(hstar_hat: np.ndarray) -> np.ndarray:

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from . import geometry
 from .estimator import AttributionMatrix, ConcentrationMatrix
@@ -204,6 +203,10 @@ def simulate_log_ar1(n: int, params: LogAR1Params, rng: RngSpec) -> np.ndarray:
     g_ik = mu_k + phi_k (g_{i-1,k} - mu_k) + eps_ik is run by linear
     filtering; emissions are exp(g).
     """
+    # Imported here: scipy.signal costs half of `import apportion.cli`, and
+    # only this first-order filter needs it.
+    from scipy.signal import lfilter
+
     if n < 1:
         raise ValueError("n must be >= 1")
     k_sources = params.n_sources

@@ -1,11 +1,22 @@
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from apportion import cli
 from apportion.cli import load_concentrations, main
 from apportion.estimator import ConcentrationMatrix, EstimatorConfig, apportion
 from apportion.evaluation import align_rows, nfd, nrmse
@@ -74,6 +85,176 @@ class TestLoadConcentrations:
         y, _ = make_ground_truth(50, 6, 3, "ar1", RngSpec(9))
         loaded = load_concentrations(out / "y.csv")
         np.testing.assert_array_equal(loaded.values, y.values)
+
+
+def load_outcome(load, path):
+    """Value bytes and names, or the error's type, coordinates and message."""
+    try:
+        y = load(path)
+    except Exception as exc:
+        return type(exc), getattr(exc, "line", None), getattr(exc, "column", None), str(exc)
+    return y.values.dtype.str, y.values.shape, y.values.tobytes(), y.pollutant_names
+
+
+def load_cellwise(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        return cli._load_cellwise(fh)
+
+
+def assert_loads_like_cellwise(text, tmp_dir):
+    path = Path(tmp_dir) / "y.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        outcome = load_outcome(load_concentrations, path)
+    assert [str(w.message) for w in caught] == []
+    assert outcome == load_outcome(load_cellwise, path)
+    if isinstance(outcome[0], type):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["estimate", "--input", str(path), "--K", "1", "--out", str(Path(tmp_dir) / "o")])
+        assert code == 1
+        assert err.getvalue().count("\n") == 1
+        assert err.getvalue().startswith(f"{outcome[0].__name__}: ")
+    return outcome
+
+
+# Cells float() and np.loadtxt may read differently, or that must fail.
+ODD_CELLS = [
+    "1_0", "+1e5", "0x10", "1d5", "1D5", "nan", "inf", "infinity", "-inf", "-0.0",
+    "-2.5", "1e400", "5e-324", ".5", "1.", "e5", ".", "", " ", " 3 ", "\t4", "\xa05",
+    "\x0b6", '"7"', '"8,9"', "#1", "1 2", "\u0661",
+]
+NEWLINES = ["\n", "\r\n", "\r"]
+
+
+@st.composite
+def valid_cells(draw):
+    value = draw(st.floats(min_value=0.0, max_value=1e300))
+    fmt = draw(st.sampled_from(["%r", "%.17g", "%.3e", "%.0f", "+%r", " %r "]))
+    return fmt.replace("%r", repr(value)) if "%r" in fmt else fmt % value
+
+
+# Exponents stay below 1e308; overflowing cells are among ODD_CELLS.
+decimal_cells = st.from_regex(r"\A[0-9]{1,25}(\.[0-9]{0,25})?([eE][-+]?[0-9]{1,2})?\Z")
+header_names = st.sampled_from(["a", "b c", '"x,y"', '"p\nq"', '"r""s"', ""])
+
+
+@st.composite
+def csv_texts(draw):
+    width = draw(st.integers(1, 4))
+    newline = draw(st.sampled_from(NEWLINES))
+    cell = st.one_of(valid_cells(), valid_cells(), decimal_cells, st.sampled_from(ODD_CELLS))
+    text = ",".join(draw(st.lists(header_names, min_size=width, max_size=width)))
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["row"] * 8 + ["blank", "spaces", "comment", "ragged", "trailing"]))
+        if kind == "blank":
+            line = ""
+        elif kind == "spaces":
+            line = draw(st.sampled_from([" ", "  \t", "\x0c"]))
+        elif kind == "comment":
+            line = "# note"
+        else:
+            count = width + draw(st.sampled_from([-1, 1])) if kind == "ragged" else width
+            line = ",".join(draw(st.lists(cell, min_size=count, max_size=count)))
+            if kind == "trailing":
+                line += ","
+        text += draw(st.sampled_from([newline] * 4 + NEWLINES)) + line
+    return text + draw(st.sampled_from(["", newline]))
+
+
+class TestLoaderMatchesCellwiseParser:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "a,b\n",
+            "a,b",
+            "a\n",
+            "a\n\n",
+            "a,b\n\n1,2\n\n\n3,4\n",
+            "a,b\n1,2\n   \n3,4\n",
+            "a\n1\n \n2\n",
+            "a,b\r\n1,2\r\n3,4\r\n",
+            "a,b\r1,2\r3,4\r",
+            "a,b\r\n\r\n1,2\r\n",
+            '"x,y",b\n1,2\n',
+            '"p\nq",b\n1,2\n',
+            'a,b\n"1",2\n',
+            "a,b\n 1 ,\t2\n",
+            "a,b\n1,2,\n",
+            "a,b,\n1,2,\n",
+            "a,b\n1,2\n3\n",
+            "a,b\n# comment\n1,2\n",
+            "a,b\n1,2\n#3,4\n",
+            "a,b\n0,-0.0\n",
+            "a,b\n1,-2\n",
+            *(f"a,b\n1,{cell}\n" for cell in ODD_CELLS),
+        ],
+    )
+    def test_listed_files(self, text, tmp_path):
+        assert_loads_like_cellwise(text, tmp_path)
+
+    @settings(deadline=None, max_examples=300)
+    @given(csv_texts())
+    def test_generated_files(self, text):
+        with tempfile.TemporaryDirectory() as tmp_dir:
+            assert_loads_like_cellwise(text, tmp_dir)
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        st.lists(
+            st.lists(st.one_of(valid_cells(), decimal_cells), min_size=3, max_size=3),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    def test_generated_valid_files_take_every_value_bitwise(self, rows):
+        # The last row keeps every column nonzero, as ConcentrationMatrix asks.
+        text = "a,b,c\n" + "".join(",".join(row) + "\n" for row in rows) + "1,1,1\n"
+        with tempfile.TemporaryDirectory() as tmp_dir:
+            outcome = assert_loads_like_cellwise(text, tmp_dir)
+        assert outcome[1] == (len(rows) + 1, 3)
+
+
+def reference_matrix_bytes(path, matrix, names):
+    """What writing every row through csv.writer with %.17g gives."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(list(names))
+        writer.writerows(["%.17g" % v for v in row] for row in np.atleast_2d(matrix))
+    return path.read_bytes()
+
+
+BLOCK = cli._WRITE_BLOCK_ROWS
+
+
+class TestWriteMatrix:
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+    @pytest.mark.parametrize("j", [1, 8])
+    def test_bytes_match_csv_writer(self, n, j, tmp_path):
+        rng = np.random.default_rng(n * 10 + j)
+        special = [0.0, -0.0, 5e-324, 1e308, 3.0, 12345678901234567.0, 0.1]
+        values = np.concatenate([special, rng.lognormal(size=n * j)])[: n * j]
+        matrix = values[rng.permutation(n * j)].reshape(n, j)
+        names = [f"P{i}" for i in range(j)]
+        cli._write_matrix(tmp_path / "fast.csv", matrix, names)
+        expected = reference_matrix_bytes(tmp_path / "ref.csv", matrix, names)
+        assert (tmp_path / "fast.csv").read_bytes() == expected
+
+
+def test_import_cli_loads_no_scipy_signal_or_optimize():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, apportion.cli; "
+        "print(*[m for m in ('scipy.signal', 'scipy.optimize') if m in sys.modules])"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
+    )
+    assert result.stdout.strip() == ""
 
 
 class TestSimulateCommand:
