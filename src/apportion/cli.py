@@ -82,7 +82,9 @@ def _write_labeled_matrix(path: Path, matrix: np.ndarray, labels, names) -> None
 def _read_labeled_matrix(path: Path):
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ParseError(1, 1, "empty file")
         labels, rows = [], []
         for row in reader:
             labels.append(row[0])
@@ -90,7 +92,7 @@ def _read_labeled_matrix(path: Path):
     return labels, header[1:], np.asarray(rows)
 
 
-def load_concentrations(path: str | Path, format: str = "csv") -> ConcentrationMatrix:
+def load_concentrations(path: str | Path) -> ConcentrationMatrix:
     """Parse a concentration CSV: header of pollutant names, numeric body.
 
     The header is read by ``csv.reader`` and the body by ``np.loadtxt``.
@@ -101,8 +103,6 @@ def load_concentrations(path: str | Path, format: str = "csv") -> ConcentrationM
     and raises the error, with 1-based (line, column) coordinates, for
     negatives, non-finite values and malformed cells or rows.
     """
-    if format != "csv":
-        raise ValueError(f"unsupported format {format!r}")
     with open(Path(path), encoding="utf-8", newline="") as fh:
         names = next(csv.reader(fh), None)
         if names is not None:

@@ -32,6 +32,9 @@ from .exceptions import (
 from .synthgen import REPLICATE_STRIDE, RngSpec, make_ground_truth
 
 STUDY_SEARCHES = ("greedy", "exhaustive", "auto", "both")
+# Points per minimum-norm-point batch; each step holds a (rows, s, s) KKT
+# stack, s = slots + 1 + d: 28 MB at d=30 with 10 slots.
+_MNP_BLOCK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -158,30 +161,6 @@ def _default_subdivisions(k: int) -> int:
     return 4
 
 
-def _distances_to_simplex_hull(points: np.ndarray, vertices: np.ndarray) -> np.ndarray:
-    """Exact distance of each point to conv(vertices) by face enumeration."""
-    k = vertices.shape[0]
-    best = np.full(points.shape[0], np.inf)
-    for size in range(1, k + 1):
-        for face in itertools.combinations(range(k), size):
-            anchor = vertices[face[0]]
-            x = points - anchor
-            if size == 1:
-                dist = np.linalg.norm(x, axis=1)
-                feasible = np.ones(points.shape[0], dtype=bool)
-            else:
-                edges = vertices[list(face[1:])] - anchor
-                coords = x @ np.linalg.pinv(edges)
-                resid = x - coords @ edges
-                dist = np.linalg.norm(resid, axis=1)
-                feasible = (coords.min(axis=1) >= -1e-12) & (
-                    1.0 - coords.sum(axis=1) >= -1e-12
-                )
-            better = feasible & (dist < best)
-            best[better] = dist[better]
-    return best
-
-
 def _sample_hull_points(ystar: np.ndarray) -> np.ndarray:
     if ystar.shape[0] <= 64:
         return ystar
@@ -192,108 +171,82 @@ def _sample_hull_points(ystar: np.ndarray) -> np.ndarray:
         return ystar
 
 
-def _points_to_segment(coords: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    x = coords[:, 0]
-    return np.clip(lo - x, 0.0, None) + np.clip(x - hi, 0.0, None)
+def _distances_to_polytope(points: np.ndarray, vertices: np.ndarray) -> np.ndarray:
+    """Euclidean distance from each point to conv(vertices), exact up to
+    rounding in any dimension: Wolfe's minimum-norm-point algorithm (Wolfe
+    1976), in lockstep over the points, _MNP_BLOCK_ROWS at a time.
 
-
-def _points_to_polygon(points: np.ndarray, verts: np.ndarray) -> np.ndarray:
-    """Vectorized distance from 2-D points to a convex polygon (0 inside)."""
-    center = verts.mean(axis=0)
-    order = np.argsort(np.arctan2(verts[:, 1] - center[1], verts[:, 0] - center[0]))
-    ring = verts[order]
-    area2 = float(
-        np.sum(ring[:, 0] * np.roll(ring[:, 1], -1) - np.roll(ring[:, 0], -1) * ring[:, 1])
-    )
-    if area2 < 0:
-        ring = ring[::-1]
-    start = ring
-    edge = np.roll(ring, -1, axis=0) - ring
-    rel = points[:, None, :] - start[None, :, :]  # (G, E, 2)
-    edge_len2 = (edge**2).sum(axis=1)
-    t = np.einsum("gej,ej->ge", rel, edge)
-    t = np.where(edge_len2 > 0, t / np.where(edge_len2 > 0, edge_len2, 1.0), 0.0)
-    t = np.clip(t, 0.0, 1.0)
-    closest = start[None, :, :] + t[..., None] * edge[None, :, :]
-    dist = np.linalg.norm(points[:, None, :] - closest, axis=2).min(axis=1)
-    cross = edge[None, :, 0] * rel[:, :, 1] - edge[None, :, 1] * rel[:, :, 0]
-    dist[(cross >= 0.0).all(axis=1)] = 0.0
-    return dist
-
-
-def _qp_distance(point: np.ndarray, vertices: np.ndarray) -> float:
-    """Simplex-constrained least squares via SLSQP, with an exact affine
-    re-projection on the detected support; each candidate value is the
-    distance to a feasible hull point, so the minimum is a valid bound."""
-    from scipy.optimize import minimize
-
-    best = float(np.linalg.norm(vertices - point, axis=1).min())
-    if best == 0.0:
-        return best
-    m = vertices.shape[0]
-
-    def objective(lam):
-        r = lam @ vertices - point
-        return float(r @ r), 2.0 * (vertices @ r)
-
-    res = minimize(
-        objective,
-        np.full(m, 1.0 / m),
-        jac=True,
-        method="SLSQP",
-        bounds=[(0.0, 1.0)] * m,
-        constraints=[{"type": "eq", "fun": lambda lam: lam.sum() - 1.0}],
-        options={"ftol": 1e-14, "maxiter": 200},
-    )
-    lam = np.clip(res.x, 0.0, None)
-    total = lam.sum()
-    if total > 0:
-        lam = lam / total
-        best = min(best, float(np.linalg.norm(lam @ vertices - point)))
-        support = np.flatnonzero(lam > 1e-10)
-        if support.size == 1:
-            best = min(best, float(np.linalg.norm(point - vertices[support[0]])))
-        elif support.size > 1:
-            anchor = vertices[support[0]]
-            edges = vertices[support[1:]] - anchor
-            coords = (point - anchor) @ np.linalg.pinv(edges)
-            if coords.min() >= -1e-12 and 1.0 - coords.sum() >= -1e-12:
-                best = min(
-                    best, float(np.linalg.norm(point - anchor - coords @ edges))
-                )
-    return best
-
-
-def _distances_to_hull(points: np.ndarray, vertices: np.ndarray) -> np.ndarray:
-    """Distance from each point to conv(vertices), any ambient dimension.
-
-    Splits each point into its component in the vertices' affine span
-    (where the problem is solved exactly in 1-D/2-D, or by constrained
-    least squares above) and the orthogonal remainder, combined in
-    quadrature.
+    For a point x, y is its nearest point so far minus x, a positive
+    combination of a corral of at most (affine rank + 1) vertices.  A major
+    step adds the vertex minimizing <y, v - x>, unless that beats |y|^2 by
+    no more than rounding, the corral spans the vertices' affine hull, or
+    |y| did not shrink since the last major step: then x is done.  A minor
+    step solves the affine minimum-norm problem on every corral in one
+    batched KKT solve (weights, multiplier and y; unused slots padded by
+    identity rows).  If a weight is not positive, the weights move toward
+    the solution until the first one reaches zero, and its vertex leaves.
+    Reaching the iteration cap raises RuntimeError.
     """
+    if len(points) > _MNP_BLOCK_ROWS:
+        blocks = np.split(points, range(_MNP_BLOCK_ROWS, len(points), _MNP_BLOCK_ROWS))
+        return np.concatenate([_distances_to_polytope(b, vertices) for b in blocks])
     center = vertices.mean(axis=0)
-    centered = vertices - center
-    sing = np.linalg.svd(centered, compute_uv=False)
-    tol = len(vertices) * np.finfo(float).eps * (sing[0] if sing.size else 0.0)
-    rank = int(np.count_nonzero(sing > tol))
-    rel = points - center
-    if rank == 0:
-        return np.linalg.norm(points - vertices[0], axis=1)
-    basis = np.linalg.svd(centered, full_matrices=False)[2][:rank].T
-    coords = rel @ basis
-    ortho2 = ((rel - coords @ basis.T) ** 2).sum(axis=1)
-    vert_coords = centered @ basis
-    if rank == 1:
-        in_span = _points_to_segment(
-            coords, float(vert_coords.min()), float(vert_coords.max())
-        )
-    elif rank == 2:
-        hull = geometry.hull_vertices(vert_coords)
-        in_span = _points_to_polygon(coords, vert_coords[hull])
-    else:
-        in_span = np.array([_qp_distance(p, vert_coords) for p in coords])
-    return np.sqrt(in_span**2 + ortho2)
+    v, x = vertices - center, points - center
+    (n, d), m = x.shape, len(v)
+    slots = geometry._affine_rank(v) + 1
+    sq = (v * v).sum(axis=1) - 2.0 * (x @ v.T) + (x * x).sum(axis=1)[:, None]
+    # A major-step gap below this is rounding in |y|^2 - <y, v - x>.
+    tol = 16 * np.finfo(float).eps * np.sqrt(sq.max(axis=1))
+    index = np.zeros((n, slots), dtype=np.intp)
+    index[:, 0] = sq.argmin(axis=1)
+    active = np.tile(np.arange(slots) == 0, (n, 1))
+    weight = active.astype(float)
+    y = v[index[:, 0]] - x
+    live, major, norm2 = np.ones(n, bool), np.ones(n, bool), np.full(n, np.inf)
+    for _ in range(100 * (m + slots)):
+        rows = np.flatnonzero(live & major)
+        yr = y[rows]
+        dots = yr @ v.T - (yr * x[rows]).sum(axis=1)[:, None]
+        best = dots.argmin(axis=1)
+        cur = (yr * yr).sum(axis=1)
+        gap = cur - dots[np.arange(rows.size), best]
+        done = (gap <= tol[rows] * np.sqrt(cur)) | active[rows].all(axis=1)
+        done |= cur >= norm2[rows]
+        norm2[rows] = np.minimum(norm2[rows], cur)
+        live[rows[done]] = False
+        rows, best = rows[~done], best[~done]
+        free = active[rows].argmin(axis=1)
+        index[rows, free], active[rows, free] = best, True
+
+        rows = np.flatnonzero(live)
+        if not rows.size:
+            return np.sqrt(norm2)
+        act, w = active[rows], weight[rows]
+        p = np.where(act[:, :, None], v[index[rows]] - x[rows, None, :], 0.0)
+        # Unknowns (weights, multiplier, y): <v_i - x, y> = multiplier on the
+        # corral, unused weights 0, weights sum to 1, y = sum weights (v_i - x).
+        size = slots + 1 + d
+        kkt = np.zeros((rows.size, size, size))
+        kkt[:, :slots, :slots] = np.eye(slots, dtype=bool) & ~act[:, :, None]
+        kkt[:, :slots, slots], kkt[:, slots, :slots] = -1.0 * act, act
+        kkt[:, :slots, slots + 1 :], kkt[:, slots + 1 :, :slots] = p, -p.transpose(0, 2, 1)
+        kkt[:, slots + 1 :, slots + 1 :] = np.eye(d)
+        sol = np.linalg.solve(kkt, np.eye(size)[slots])
+        alpha = np.where(act, sol[:, :slots], 0.0)
+        blocked = act & (alpha <= 0.0)
+        interior = ~blocked.any(axis=1)
+        ratio = np.where(blocked, w / np.maximum(w - alpha, np.finfo(float).tiny), np.inf)
+        first = ratio.argmin(axis=1)
+        theta = np.minimum(ratio.min(axis=1), 1.0)[:, None]  # 1 where nothing blocks
+        w = np.where(interior[:, None], alpha, w + theta * (alpha - w))
+        w[np.arange(rows.size), first] *= interior  # drop the first weight to reach zero
+        act &= w > 0.0
+        weight[rows], active[rows] = np.where(act, w, 0.0), act
+        # The solved y, not weights @ p, stays accurate on thin corrals.
+        moved = (w[:, :, None] * p).sum(axis=1)
+        y[rows] = np.where(interior[:, None], sol[:, slots + 1 :], moved)
+        major[rows] = interior
+    raise RuntimeError("minimum-norm-point iteration did not converge")
 
 
 def hausdorff_to_polytope(
@@ -301,23 +254,30 @@ def hausdorff_to_polytope(
 ) -> float:
     """Directed Hausdorff distance from conv(hstar) to the sample hull.
 
-    Approximated as the maximum, over a deterministic barycentric grid of
-    conv(hstar), of the distance to the convex hull of the sample rows.
+    The maximum, over a deterministic barycentric grid of conv(hstar), of
+    the distance to the convex hull of the sample rows.  That distance is
+    exact in every dimension; only the grid approximates the supremum.
     Warns NotContainedWarning when sample rows leave conv(hstar) by more
     than 1e-8 (the sample hull is contained in conv(hstar) for noiseless
     data, which is what makes the directed distance the Hausdorff one).
+    Raises ValueError for empty or non-finite inputs, rows off the
+    simplex, or ``grid_subdivisions < 1``.
     """
     ystar = np.atleast_2d(np.asarray(ystar, dtype=float))
     hstar = np.atleast_2d(np.asarray(hstar, dtype=float))
     for name, mat in (("ystar", ystar), ("hstar", hstar)):
+        if mat.size == 0 or not np.isfinite(mat).all():
+            raise ValueError(f"{name} must be non-empty and finite")
         if np.max(np.abs(mat.sum(axis=1) - 1.0)) > 1e-8:
             raise ValueError(f"{name} rows must lie on the simplex")
     if ystar.shape[1] != hstar.shape[1]:
         raise ShapeMismatch("ystar and hstar must share the ambient dimension")
     if grid_subdivisions is None:
         grid_subdivisions = _default_subdivisions(hstar.shape[0])
+    if grid_subdivisions < 1:
+        raise ValueError("grid_subdivisions must be at least 1")
 
-    outside = _distances_to_simplex_hull(ystar, hstar)
+    outside = _distances_to_polytope(ystar, hstar)
     if outside.max() > 1e-8:
         warnings.warn(
             f"{int((outside > 1e-8).sum())} sample rows lie outside the "
@@ -327,7 +287,7 @@ def hausdorff_to_polytope(
         )
     grid_points = _barycentric_grid(hstar.shape[0], grid_subdivisions) @ hstar
     hull_points = _sample_hull_points(ystar)
-    return float(_distances_to_hull(grid_points, hull_points).max())
+    return float(_distances_to_polytope(grid_points, hull_points).max())
 
 
 def _run_study_task(design: StudyDesign, task: tuple[int, int, int]):

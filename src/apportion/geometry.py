@@ -133,17 +133,17 @@ def _affine_rank(z: np.ndarray) -> int:
     return int(np.count_nonzero(sing > len(z) * np.finfo(float).eps * sing[0]))
 
 
-def hull_vertices(z: np.ndarray, hull_dim_max: int = HULL_DIM_MAX) -> np.ndarray:
+def hull_vertices(z: np.ndarray) -> np.ndarray:
     """Sorted indices of the extreme points of the cloud's convex hull.
 
-    1-D clouds reduce to argmin/argmax; 2 up to ``hull_dim_max`` dimensions
+    1-D clouds reduce to argmin/argmax; 2 up to ``HULL_DIM_MAX`` dimensions
     use qhull with one jittered retry on degenerate facet errors.  Points
     lying inside facets or edges are not vertices.  Of exact duplicate
     vertex rows at least one is returned; which one is not specified.
 
     Raises DegenerateCloud when the points span fewer than d dimensions
     (reduce the projection rank instead), HullDimensionExceeded above
-    ``hull_dim_max`` (callers fall back to using every point).
+    ``HULL_DIM_MAX`` (callers fall back to using every point).
     """
     z = np.asarray(z, dtype=float)
     if z.ndim != 2:
@@ -151,8 +151,8 @@ def hull_vertices(z: np.ndarray, hull_dim_max: int = HULL_DIM_MAX) -> np.ndarray
     n, d = z.shape
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    if d > hull_dim_max:
-        raise HullDimensionExceeded(f"hull in {d} dims exceeds cap {hull_dim_max}")
+    if d > HULL_DIM_MAX:
+        raise HullDimensionExceeded(f"hull in {d} dims exceeds cap {HULL_DIM_MAX}")
     if n < d + 1:
         raise DegenerateCloud(f"{n} points cannot span a {d}-dimensional hull")
     if _affine_rank(z) < d:

@@ -29,6 +29,34 @@ def lp_hull_vertices(points):
     return np.asarray(verts, dtype=np.intp)
 
 
+def face_enumeration_distances(points, vertices):
+    """Exact distance of each point to conv(vertices) by enumerating every
+    face: the nearest point lies in the relative interior of some affinely
+    independent face, where it is the projection onto the face's span."""
+    points = np.asarray(points, dtype=float)
+    vertices = np.asarray(vertices, dtype=float)
+    k = vertices.shape[0]
+    best = np.full(points.shape[0], np.inf)
+    for size in range(1, k + 1):
+        for face in itertools.combinations(range(k), size):
+            anchor = vertices[face[0]]
+            x = points - anchor
+            if size == 1:
+                dist = np.linalg.norm(x, axis=1)
+                feasible = np.ones(points.shape[0], dtype=bool)
+            else:
+                edges = vertices[list(face[1:])] - anchor
+                coords = x @ np.linalg.pinv(edges)
+                resid = x - coords @ edges
+                dist = np.linalg.norm(resid, axis=1)
+                feasible = (coords.min(axis=1) >= -1e-12) & (
+                    1.0 - coords.sum(axis=1) >= -1e-12
+                )
+            better = feasible & (dist < best)
+            best[better] = dist[better]
+    return best
+
+
 def det_log_volume(vertices):
     """Simplex log-volume by direct Gram determinant, no slogdet."""
     v = np.asarray(vertices, dtype=float)

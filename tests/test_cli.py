@@ -247,8 +247,11 @@ class TestWriteMatrix:
 def test_import_cli_loads_no_scipy_signal_or_optimize():
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    # A K=4 Hausdorff distance (nearest points in 3-D) needs no optimizer either.
     code = (
-        "import sys, apportion.cli; "
+        "import sys, numpy as np, apportion.cli; "
+        "from apportion.evaluation import hausdorff_to_polytope; "
+        "hausdorff_to_polytope(0.8 * np.eye(4) + 0.05, np.eye(4)); "
         "print(*[m for m in ('scipy.signal', 'scipy.optimize') if m in sys.modules])"
     )
     result = subprocess.run(
@@ -335,6 +338,20 @@ class TestEstimateCommand:
         assert code == 1
         err_line = capsys.readouterr().err.strip().splitlines()[-1]
         assert err_line.startswith("NegativeValue:")
+
+
+@pytest.mark.parametrize("empty", ["--phi-hat", "--phi-true"])
+def test_evaluate_empty_file_prints_one_line(tmp_path, capsys, empty):
+    blank = tmp_path / "empty.csv"
+    blank.write_text("", encoding="utf-8")
+    phi = tmp_path / "phi.csv"
+    phi.write_text("source,a,b\ns1,0.5,0.5\n", encoding="utf-8")
+    files = {"--phi-hat": phi, "--phi-true": phi, empty: blank}
+    args = ["evaluate"] + [str(a) for pair in files.items() for a in pair]
+    assert main(args + ["--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "ParseError: line 1, column 1: empty file"
+    ]
 
 
 class TestEndToEnd:

@@ -7,10 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from conftest import brute_force_align, scalar_nfd, scalar_nrmse
+from conftest import (
+    brute_force_align,
+    face_enumeration_distances,
+    scalar_nfd,
+    scalar_nrmse,
+)
 
+from apportion import evaluation
 from apportion.evaluation import (
     StudyDesign,
+    _distances_to_polytope,
     align_rows,
     convergence_study,
     hausdorff_to_polytope,
@@ -147,17 +154,133 @@ class TestHausdorff:
         with pytest.warns(NotContainedWarning):
             hausdorff_to_polytope(outside, hstar)
 
-    def test_three_dim_span_against_closed_form(self):
-        # sample hull = simplex shrunk toward the centroid; the farthest
-        # grid point is a corner whose projection is the matching shrunk
-        # vertex, at distance ||0.3 e_1 - 0.075 1|| = sqrt(0.0675)
-        shrunk = 0.7 * np.eye(4) + 0.075
-        value = hausdorff_to_polytope(shrunk, np.eye(4), grid_subdivisions=10)
-        assert value == pytest.approx(math.sqrt(0.0675), abs=1e-9)
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_three_dim_span_against_closed_form(self, k):
+        # sample hull = simplex a I + b 1 shrunk toward the centroid
+        # (a + k b = 1); the farthest grid point is a corner whose nearest
+        # point is the matching shrunk vertex, at distance
+        # ||(k - 1) b e_1 - b (1 - e_1)|| = sqrt(k (k - 1)) b
+        b = 0.075
+        shrunk = (1.0 - k * b) * np.eye(k) + b
+        value = hausdorff_to_polytope(shrunk, np.eye(k), grid_subdivisions=10)
+        assert value == pytest.approx(math.sqrt(k * (k - 1)) * b, abs=1e-12)
 
     def test_rejects_off_simplex(self):
         with pytest.raises(ValueError):
             hausdorff_to_polytope(np.array([[0.7, 0.7]]), np.eye(2))
+
+    @pytest.mark.parametrize(
+        "ystar, hstar, subdivisions",
+        [
+            ([[np.nan, 0.5, 0.5]], np.eye(3), None),
+            ([[np.inf, 0.0, 0.0]], np.eye(3), None),
+            (np.eye(3), [[np.nan, 0.5, 0.5], [0.0, 1.0, 0.0]], None),
+            (np.eye(3), np.empty((0, 3)), None),
+            (np.empty((0, 3)), np.eye(3), None),
+            (np.eye(3), np.eye(3), 0),
+            (np.eye(3), np.eye(3), -1),
+        ],
+        ids=[
+            "nan-ystar",
+            "inf-ystar",
+            "nan-hstar",
+            "empty-hstar",
+            "empty-ystar",
+            "zero-grid",
+            "negative-grid",
+        ],
+    )
+    def test_rejects_invalid_inputs(self, ystar, hstar, subdivisions):
+        with pytest.raises(ValueError):
+            hausdorff_to_polytope(np.asarray(ystar), np.asarray(hstar), subdivisions)
+
+    def test_containment_count_matches_face_enumeration(self):
+        rng = np.random.default_rng(11)
+        hstar = rng.dirichlet(np.ones(6), size=4)
+        inside = rng.dirichlet(np.ones(4), size=40) @ hstar
+        # Leave conv(hstar) within its affine span (weights summing to one
+        # with one negative entry), by 1e-9 to 1e-1.
+        step = np.logspace(-9, -1, 40)[:, None]
+        weights = np.hstack([-step, (1.0 + step) * rng.dirichlet(np.ones(3), size=40)])
+        ystar = np.vstack([inside, weights @ hstar])
+        expected = int((face_enumeration_distances(ystar, hstar) > 1e-8).sum())
+        with pytest.warns(NotContainedWarning, match=f"^{expected} sample rows"):
+            hausdorff_to_polytope(ystar, hstar)
+
+
+def _polytope_case(rng, d, m, structure):
+    if structure == "generic":
+        return rng.normal(size=(m, d))
+    if structure == "thin":
+        vertices = rng.normal(size=(m, d))
+        vertices[:, -1] *= 10.0 ** -rng.integers(2, 9)
+        return vertices
+    if structure == "integer":
+        return rng.integers(-2, 3, size=(m, d)).astype(float)
+    # affinely dependent: m points in an affine subspace of lower dimension
+    rank = int(rng.integers(0, max(1, min(d, m - 1))))
+    base = rng.normal(size=(rank + 1, d))
+    return rng.dirichlet(np.ones(rank + 1), size=m) @ base
+
+
+class TestDistancesToPolytope:
+    @settings(deadline=None, max_examples=200)
+    @given(
+        d=st.integers(1, 5),
+        m=st.integers(1, 8),
+        structure=st.sampled_from(["generic", "thin", "integer", "dependent"]),
+        duplicates=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_face_enumeration(self, d, m, structure, duplicates, seed):
+        rng = np.random.default_rng(seed)
+        vertices = _polytope_case(rng, d, m, structure)
+        for _ in range(duplicates):
+            vertices[rng.integers(m)] = vertices[rng.integers(m)]
+        affine = rng.normal(size=(8, m))
+        affine += (1.0 - affine.sum(axis=1, keepdims=True)) / m
+        points = np.vstack(
+            [
+                rng.dirichlet(np.ones(m), size=8) @ vertices,  # inside
+                rng.dirichlet(np.full(m, 0.2), size=8) @ vertices,  # near faces
+                affine @ vertices,  # in the affine span, mostly outside
+                2.0 * rng.normal(size=(8, d)),  # anywhere
+                vertices,
+            ]
+        )
+        if structure == "integer":
+            points = np.vstack([points, rng.integers(-3, 4, size=(8, d))])
+        np.testing.assert_allclose(
+            _distances_to_polytope(points, vertices),
+            face_enumeration_distances(points, vertices),
+            rtol=0.0,
+            atol=1e-12,
+        )
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_blocks_do_not_change_results(self, monkeypatch, block):
+        rng = np.random.default_rng(12)
+        vertices = rng.normal(size=(9, 4))
+        inside = rng.dirichlet(np.ones(9), size=10) @ vertices
+        points = np.vstack([2.0 * rng.normal(size=(40, 4)), inside])
+        whole = _distances_to_polytope(points, vertices)
+        monkeypatch.setattr(evaluation, "_MNP_BLOCK_ROWS", block)
+        np.testing.assert_array_equal(_distances_to_polytope(points, vertices), whole)
+
+    def test_segment_and_square_closed_forms(self):
+        segment = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])
+        points = np.array([[-1.0, 0.0, 0.0], [1.0, 3.0, 4.0], [4.0, 0.0, 1.0]])
+        np.testing.assert_allclose(
+            _distances_to_polytope(points, segment),
+            [1.0, 5.0, math.sqrt(5.0)],
+            rtol=0.0,
+            atol=1e-15,
+        )
+        square = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, 0.5]])
+        points = np.array([[0.25, 0.75], [2.0, 0.5], [-3.0, -4.0], [0.5, 1.0]])
+        np.testing.assert_allclose(
+            _distances_to_polytope(points, square), [0.0, 1.0, 5.0, 0.0], rtol=0.0, atol=1e-15
+        )
 
 
 @pytest.fixture(scope="module")
