@@ -21,7 +21,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimator import ConcentrationMatrix, EstimatorConfig, apportion
+from .estimator import (
+    MEAN_METHODS,
+    SEARCH_MODES,
+    ZERO_ROW_POLICIES,
+    ConcentrationMatrix,
+    EstimatorConfig,
+    apportion,
+)
 from .evaluation import (
     MetricsRecord,
     StudyDesign,
@@ -80,16 +87,46 @@ def _write_labeled_matrix(path: Path, matrix: np.ndarray, labels, names) -> None
 
 
 def _read_labeled_matrix(path: Path):
+    """A ``source,<names>`` CSV as (labels, names, values), read by the
+    cell-wise parser's row and cell rules (any finite value is allowed)."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise ParseError(1, 1, "empty file")
         labels, rows = [], []
-        for row in reader:
+        for line_no, row in _data_rows(reader, len(header)):
             labels.append(row[0])
-            rows.append([float(v) for v in row[1:]])
+            rows.append(
+                [_number(c, line_no, col) for col, c in enumerate(row[1:], start=2)]
+            )
     return labels, header[1:], np.asarray(rows)
+
+
+def _data_rows(reader, width: int):
+    """(line, row) for each non-empty row after the header.  A row of
+    another width raises ParseError, and so does a body with no rows."""
+    empty = True
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != width:
+            raise ParseError(line_no, 1, f"expected {width} fields, got {len(row)}")
+        empty = False
+        yield line_no, row
+    if empty:
+        raise ParseError(2, 1, "no data rows")
+
+
+def _number(cell: str, line_no: int, col_no: int) -> float:
+    """The cell as a finite float, else ParseError or NonFinite."""
+    try:
+        value = float(cell)
+    except ValueError:
+        raise ParseError(line_no, col_no, f"not a number: {cell!r}") from None
+    if not np.isfinite(value):
+        raise NonFinite(line_no, col_no)
+    return value
 
 
 def load_concentrations(path: str | Path) -> ConcentrationMatrix:
@@ -137,27 +174,15 @@ def _load_cellwise(fh) -> ConcentrationMatrix:
         names = next(reader)
     except StopIteration:
         raise ParseError(1, 1, "empty file") from None
-    width = len(names)
     rows = []
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != width:
-            raise ParseError(line_no, 1, f"expected {width} fields, got {len(row)}")
+    for line_no, row in _data_rows(reader, len(names)):
         parsed = []
         for col_no, cell in enumerate(row, start=1):
-            try:
-                value = float(cell)
-            except ValueError:
-                raise ParseError(line_no, col_no, f"not a number: {cell!r}") from None
-            if not np.isfinite(value):
-                raise NonFinite(line_no, col_no)
+            value = _number(cell, line_no, col_no)
             if value < 0:
                 raise NegativeValue(line_no, col_no)
             parsed.append(value)
         rows.append(parsed)
-    if not rows:
-        raise ParseError(2, 1, "no data rows")
     return ConcentrationMatrix(np.asarray(rows), tuple(names))
 
 
@@ -388,17 +413,27 @@ def build_parser() -> argparse.ArgumentParser:
     est = sub.add_parser("estimate", help="estimate the attribution matrix")
     est.add_argument("--input", type=_existing_file, required=True)
     est.add_argument("--K", type=int, required=True)
-    est.add_argument("--search", choices=["auto", "greedy", "exhaustive"], default="auto")
+    est.add_argument("--search", choices=SEARCH_MODES, default=EstimatorConfig.search)
     est.add_argument("--prune", action="store_true")
-    est.add_argument("--prune-clusters", type=int, default=50)
-    est.add_argument("--epsilon-clip", type=float, default=1e-10)
-    est.add_argument("--rank-cap", type=int, default=None)
-    est.add_argument("--exhaustive-budget", type=int, default=2_000_000)
-    est.add_argument("--max-sweeps", type=int, default=10)
     est.add_argument(
-        "--mean-method", choices=["direct", "projected"], default="direct"
+        "--prune-clusters", type=int, default=EstimatorConfig.prune_clusters
     )
-    est.add_argument("--zero-row-policy", choices=["drop", "error"], default="drop")
+    est.add_argument(
+        "--epsilon-clip", type=float, default=EstimatorConfig.epsilon_clip
+    )
+    est.add_argument("--rank-cap", type=int, default=EstimatorConfig.rank_cap)
+    est.add_argument(
+        "--exhaustive-budget", type=int, default=EstimatorConfig.exhaustive_budget
+    )
+    est.add_argument("--max-sweeps", type=int, default=EstimatorConfig.max_sweeps)
+    est.add_argument(
+        "--mean-method", choices=MEAN_METHODS, default=EstimatorConfig.mean_method
+    )
+    est.add_argument(
+        "--zero-row-policy",
+        choices=ZERO_ROW_POLICIES,
+        default=EstimatorConfig.zero_row_policy,
+    )
     est.add_argument("--out", required=True)
     est.set_defaults(func=_cmd_estimate)
 

@@ -313,18 +313,12 @@ def extract_candidates(data: RowNormalizedData, cfg: EstimatorConfig) -> Candida
 def _select_max_volume(
     z: np.ndarray, cfg: EstimatorConfig
 ) -> tuple[VertexSubset, str]:
-    if cfg.search == "exhaustive":
-        return (
-            geometry.max_volume_exhaustive(z, cfg.K, cfg.exhaustive_budget),
-            "exhaustive",
-        )
-    if cfg.search == "greedy":
-        return geometry.max_volume_greedy(z, cfg.K, cfg.max_sweeps), "greedy"
-    if math.comb(len(z), cfg.K) <= cfg.exhaustive_budget:
-        return (
-            geometry.max_volume_exhaustive(z, cfg.K, cfg.exhaustive_budget),
-            "exhaustive",
-        )
+    exhaustive = cfg.search == "exhaustive" or (
+        cfg.search == "auto" and math.comb(len(z), cfg.K) <= cfg.exhaustive_budget
+    )
+    if exhaustive:
+        subset = geometry.max_volume_exhaustive(z, cfg.K, cfg.exhaustive_budget)
+        return subset, "exhaustive"
     return geometry.max_volume_greedy(z, cfg.K, cfg.max_sweeps), "greedy"
 
 

@@ -87,7 +87,7 @@ class NegativeValue(ParseError):
 
 
 class NonFinite(ParseError):
-    """NaN or infinite entry in a concentration file."""
+    """NaN or infinite entry in a concentration or Phi file."""
 
     def __init__(self, line: int, column: int):
         super().__init__(line, column, "non-finite value")

@@ -10,7 +10,6 @@ starting at r * 2**16, with per-source simulation substreams at offsets
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -19,7 +18,6 @@ import numpy as np
 from . import geometry
 from .estimator import AttributionMatrix, ConcentrationMatrix
 from .exceptions import (
-    BudgetExceeded,
     DegenerateCloud,
     GenerationFailed,
     HullDimensionExceeded,
@@ -29,8 +27,6 @@ from .exceptions import (
 REPLICATE_STRIDE = 1 << 16
 PROFILE_STREAM = 1 << 15
 PARAMS_STREAM = (1 << 15) + 1
-
-MAXIMIN_BUDGET = 20_000_000
 
 AR_COEF = 0.8
 
@@ -121,39 +117,42 @@ class GroundTruth:
 
 
 def _maximin_subset(points: np.ndarray, k: int) -> tuple[int, ...]:
-    """K-subset maximizing the pairwise minimum distance, lexicographic ties."""
+    """K-subset maximizing the pairwise minimum distance, lexicographic ties.
+
+    Threshold search (Erkut 1990; Pisinger 2006): the largest squared
+    distance t at which {dist2 >= t} has a k-clique, by binary search, and
+    its first clique in index order.  Exponential only on tied distances.
+    """
     m = len(points)
-    if k == 1:
-        return (0,)
-    if math.comb(m, k) > MAXIMIN_BUDGET:
-        raise BudgetExceeded(
-            f"{math.comb(m, k)} vertex subsets exceed the maximin budget; "
-            "reduce n_candidates"
-        )
+    if not 1 <= k <= m:
+        raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
     diff = points[:, None, :] - points[None, :, :]
     dist2 = (diff**2).sum(axis=2)
-    best_val = -1.0
-    best: tuple[int, ...] | None = None
-    tails = None
-    for combos in geometry.combo_blocks(m, k):
-        count = len(combos)
-        if tails is None:
-            # Later blocks' trailing columns are suffixes of the first
-            # block's, so the pairs among them are scored once.
-            tails = [np.ascontiguousarray(combos[:, i]) for i in range(1, k)]
-            tail_score = np.full(count, np.inf)
-            for i, j in itertools.combinations(range(k - 1), 2):
-                np.minimum(tail_score, dist2[tails[i], tails[j]], out=tail_score)
-        lead = dist2[combos[0, 0]]
-        score = tail_score[len(tail_score) - count :].copy()
-        for t in tails:
-            np.minimum(score, lead[t[len(t) - count :]], out=score)
-        i = int(np.argmax(score))
-        if score[i] > best_val:
-            best_val = float(score[i])
-            best = tuple(int(c) for c in combos[i])
-    assert best is not None
-    return best
+    values = np.unique(dist2)
+
+    def first_clique(t: float) -> tuple[int, ...] | None:
+        rows = np.packbits(dist2 >= t, axis=1, bitorder="little")
+        adj = [int.from_bytes(row, "little") for row in rows]
+        return next(_cliques(adj, (1 << m) - 1, k), None)
+
+    # values[0] is the diagonal's 0, where every pair is an edge.
+    lo, hi = 0, len(values) - 1
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if first_clique(values[mid]) is None:
+            hi = mid - 1
+        else:
+            lo = mid
+    return first_clique(values[lo])
+
+
+def _cliques(adj: list[int], cand: int, k: int):
+    """k-cliques within bitmask cand in lexicographic order; adj[v]: v's neighbours."""
+    while cand.bit_count() >= k:
+        v = (cand & -cand).bit_length() - 1
+        cand &= cand - 1
+        for tail in _cliques(adj, cand & adj[v], k - 1) if k > 1 else [()]:
+            yield (v,) + tail
 
 
 def generate_profile_matrix(
@@ -163,9 +162,10 @@ def generate_profile_matrix(
 
     Draws iid Exp(1) candidate vectors, normalizes them onto the simplex,
     finds the hull vertices in projected coordinates, and keeps the K
-    vertices maximizing the pairwise minimum distance.  Redraws (at most
-    100 times) whenever the hull yields fewer than K vertices or the
-    selected rows are not full rank.  K = J is allowed (distinct simplex
+    vertices maximizing the pairwise minimum distance, by an exact
+    threshold and first-clique search (lexicographic ties; exponential
+    only on tied distances).  Redraws, up to 100 times, on fewer than K
+    vertices or rank-deficient rows.  K = J is allowed (distinct simplex
     points are linearly independent); estimation itself needs K < J.
     """
     if not 1 <= K <= J:

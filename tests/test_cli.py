@@ -354,6 +354,66 @@ def test_evaluate_empty_file_prints_one_line(tmp_path, capsys, empty):
     ]
 
 
+@pytest.mark.parametrize(
+    "body,message",
+    [
+        ("", "ParseError: line 2, column 1: no data rows"),
+        ("\n\n", "ParseError: line 2, column 1: no data rows"),
+        ("s1,0.5\n", "ParseError: line 2, column 1: expected 3 fields, got 2"),
+        (
+            "s1,0.5,0.5\n\ns2,0.5,0.5,0\n",
+            "ParseError: line 4, column 1: expected 3 fields, got 4",
+        ),
+        ("s1,0.5,x\n", "ParseError: line 2, column 3: not a number: 'x'"),
+        ("s1,0.5,0.5\ns2,nan,0.5\n", "NonFinite: line 3, column 2: non-finite value"),
+    ],
+    ids=[
+        "header_only",
+        "blank_lines_only",
+        "short_row",
+        "long_row",
+        "not_a_number",
+        "nan",
+    ],
+)
+def test_evaluate_bad_file_prints_one_line(tmp_path, capsys, body, message):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("source,a,b\n" + body, encoding="utf-8")
+    phi = tmp_path / "phi.csv"
+    phi.write_text("source,a,b\ns1,0.5,0.5\n", encoding="utf-8")
+    args = ["evaluate", "--phi-hat", str(bad), "--phi-true", str(phi)]
+    assert main(args + ["--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.splitlines() == [message]
+
+
+def test_evaluate_skips_blank_lines(tmp_path):
+    phi_true = tmp_path / "phi_true.csv"
+    phi_true.write_text("source,a,b\ns1,0.25,0.5\ns2,0.75,0.5\n", encoding="utf-8")
+    phi_hat = "source,a,b\ns1,0.7,0.4\ns2,0.3,0.6\n"
+    metrics = []
+    for name, text in [
+        ("plain", phi_hat),
+        ("trailing", phi_hat + "\n"),
+        ("inner", phi_hat.replace("\ns2", "\n\ns2")),
+    ]:
+        path = tmp_path / f"{name}.csv"
+        path.write_text(text, encoding="utf-8")
+        out = tmp_path / f"out_{name}"
+        args = ["evaluate", "--phi-hat", str(path), "--phi-true", str(phi_true)]
+        assert main(args + ["--out", str(out)]) == 0
+        metrics.append((out / "metrics.csv").read_bytes())
+    assert metrics[1] == metrics[0] and metrics[2] == metrics[0]
+
+
+def test_estimate_defaults_are_estimator_config_defaults(tmp_path):
+    path = tmp_path / "y.csv"
+    path.write_text("a,b\n1,2\n", encoding="utf-8")
+    args = cli.build_parser().parse_args(
+        ["estimate", "--input", str(path), "--K", "3", "--out", str(tmp_path / "o")]
+    )
+    assert cli._estimator_config(args) == EstimatorConfig(K=3)
+
+
 class TestEndToEnd:
     def test_cli_matches_in_process_run(self, tmp_path):
         sim, est, ev = tmp_path / "sim", tmp_path / "est", tmp_path / "ev"

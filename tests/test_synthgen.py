@@ -1,10 +1,11 @@
 import hashlib
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
@@ -75,21 +76,55 @@ class TestProfileMatrix:
         assert hashlib.sha256(h.tobytes()).hexdigest() == digest
 
 
+@st.composite
+def maximin_cases(draw):
+    """(points, k): Gaussian points, rounded to an integer grid (many exactly
+    tied distances), or resampled with replacement (duplicated rows)."""
+    k = draw(st.integers(1, 6))
+    extra = draw(st.integers(0, 7))
+    d = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["normal", "grid", "duplicates"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    points = rng.normal(size=(k + extra, d))
+    if kind == "grid":
+        points = np.round(points)
+    elif kind == "duplicates":
+        points = points[rng.integers(0, len(points), len(points))]
+    return points, k
+
+
 class TestMaximinSubset:
-    @settings(deadline=None, max_examples=60)
-    @given(
-        st.integers(0, 2**32 - 1),
-        st.integers(1, 5),
-        st.integers(0, 7),
-        st.integers(1, 4),
-        st.booleans(),
-    )
-    def test_matches_itertools_reference(self, seed, k, extra, d, grid):
-        rng = np.random.default_rng(seed)
-        points = rng.normal(size=(k + extra, d))
-        if grid:
-            points = np.round(points)  # many exactly tied distances
+    @settings(deadline=None, max_examples=100)
+    @given(maximin_cases())
+    @example((np.zeros((6, 2)), 4))  # all points identical
+    @example((np.eye(5), 3))  # regular simplex: every distance tied
+    @example((np.array([[0.0], [3.0], [1.0], [7.0]]), 4))  # k == m
+    def test_matches_itertools_reference(self, case):
+        points, k = case
         assert _maximin_subset(points, k) == maximin_reference(points, k)
+
+    @pytest.mark.parametrize(
+        "k,expected",
+        [
+            # One point per position, the first of each run of ties.
+            (5, (0, 6, 12, 18, 24)),
+            # Seven points on five positions always repeat one, so every
+            # 7-subset scores 0 and the first one wins.
+            (7, (0, 1, 2, 3, 4, 5, 6)),
+        ],
+    )
+    def test_tied_one_dimensional_points(self, k, expected):
+        # 30 points on 5 positions: too many subsets for the reference, and
+        # a hard case for the clique search, which must prove that no
+        # k-subset clears a threshold above the optimum.
+        points = np.repeat(np.arange(5.0), 6)[:, None]
+        start = time.perf_counter()
+        assert _maximin_subset(points, k) == expected
+        assert time.perf_counter() - start < 1.0
+
+    def test_rejects_k_above_point_count(self):
+        with pytest.raises(ValueError):
+            _maximin_subset(np.zeros((3, 2)), 4)
 
 
 class TestLogAR1:
@@ -269,3 +304,11 @@ class TestMakeGroundTruth:
     def test_rejects_bad_process(self):
         with pytest.raises(ValueError):
             make_ground_truth(50, 8, 3, "iid", RngSpec(23))
+
+    @pytest.mark.parametrize("J,K", [(12, 6), (12, 7), (20, 8), (30, 10)])
+    def test_many_sources(self, J, K):
+        y, truth = make_ground_truth(200, J, K, "ar1", RngSpec(24))
+        assert y.values.shape == (200, J)
+        assert truth.W.shape == (200, K) and truth.H.shape == (K, J)
+        assert np.linalg.matrix_rank(truth.H) == K
+        np.testing.assert_allclose(truth.phi_true.values.sum(axis=0), 1.0, atol=1e-12)
