@@ -5,11 +5,18 @@ functions here are pure and deterministic: ties in any argmax/argmin are
 broken by the smallest index, and subset searches return the
 lexicographically smallest maximizing index tuple.
 
-The exhaustive max-volume search is screened, then exactly rescored: a
-cheap elementwise Gram elimination bounds every subset's log-volume, and
-only the subsets whose bound can reach the best exact score are scored by
-the exact (slogdet) routine.  The result, including the lexicographic
-tie-break, is bitwise that of scoring every subset exactly.
+The exhaustive max-volume search is a branch and bound over lexicographic
+index prefixes, then an exact rescoring.  Adding a point x to a prefix S
+multiplies the Gram determinant by dist^2(x, aff S) <= |x - p_a|^2, with
+p_a the prefix's first point, so a prefix's determinant, widened by the
+rounding slack and multiplied by the largest such squared distance once
+per missing point, bounds every completion.  Prefixes whose bound falls
+below the score of the greedy search's subset, or of the best subset
+scored so far, are dropped: each of their completions scores strictly
+below a score that some subset reaches.  The survivors are scored by the
+exact (slogdet) routine in lexicographic order and a subset is accepted
+only when strictly better, so the result, including the tie-break to the
+smallest index tuple, is bitwise that of scoring every subset exactly.
 """
 
 from __future__ import annotations
@@ -37,21 +44,26 @@ SWAP_GAIN_TOL = 1e-12
 _DET_FLOOR = 1e-300
 _LOG_DET_FLOOR = math.log(_DET_FLOOR)
 
-# Relative slack of the screened Gram determinant, in units of the product
-# of the Gram diagonal (Hadamard's bound on the determinant).  Elimination
-# on a Gram matrix is backward stable relative to that product, so the
-# screen and the exact slogdet route both err by a small multiple of
-# (K + d) * 2**-52 of it; bounds this wide hold the exact score with orders
-# of magnitude to spare.  Near the best subset it is about 1e-6 in log-det
-# units.
+# Relative slack of a prefix's Gram determinant, in units of the product
+# of its squared edge lengths (Hadamard's bound on the determinant).
+# Modified Gram-Schmidt is column-wise backward stable (Bjorck & Paige
+# 1992), so the computed determinant is that of edges each perturbed by a
+# small multiple of d * 2**-52 of their length, and the exact slogdet
+# route errs by a small multiple of (K + d) * 2**-52 of the same product;
+# bounds this wide hold the exact score with orders of magnitude to spare.
+# Near the best subset it is about 1e-6 in log-det units.
 _SCREEN_SLACK = 1e-7
-# The screened products of K - 1 squared edge lengths must stay within
-# [1 / _SCREEN_SPAN, _SCREEN_SPAN]; blocks whose edges fall outside are
-# scored exactly without a screen.
+# Subsets led by a point whose squared edge lengths to later points
+# (copies aside) leave [_SCREEN_SPAN**(-1/(K-1)), _SCREEN_SPAN**(1/(K-1))]
+# are never pruned, so every bound stays within [1/_SCREEN_SPAN,
+# _SCREEN_SPAN]; they are scored exactly.
 _SCREEN_SPAN = 1e250
-# Margin against rounding when a score threshold is taken back to a
-# determinant by exp().
+# Relative margin against rounding where a score threshold is taken back
+# to a determinant by exp(), and on the largest squared edge length.
 _THRESHOLD_MARGIN = 1e-10
+# Prefixes extended at once by the branch and bound; its memory holds at
+# most K such runs, whatever the number of subsets.
+_FRONTIER_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -204,161 +216,131 @@ def simplex_log_volume(vertices: np.ndarray) -> float:
     return float(0.5 * logdet - math.lgamma(k))
 
 
-def _leading_blocks(m: int, k: int, tail: np.ndarray):
-    # tail holds every (k-1)-subset of range(m) in lexicographic order; the
-    # ones inside {a+1, ..., m-1} are exactly its last C(m-a-1, k-1) rows.
-    for a in range(m - k + 1):
-        count = math.comb(m - a - 1, k - 1)
-        block = np.empty((count, k), dtype=np.intp)
-        block[:, 0] = a
-        block[:, 1:] = tail[len(tail) - count :]
-        yield block
+def _anchor_reach(cols: list[np.ndarray], k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per leading index a: R2(a), the largest |x - p_a|^2 over later x
+    with a margin, and whether the subsets led by a may be pruned.
 
-
-def combo_blocks(m: int, k: int):
-    """The k-subsets of range(m) in lexicographic order, as (rows, k) arrays.
-
-    One block per leading index a, built by slicing the (k-1)-subset
-    table, so no Python code runs per subset and memory holds one block
-    plus that table rather than all C(m, k) subsets.  The trailing k-1
-    columns of each block are a suffix of the previous block's, so work
-    on them can be done once, on the first block.
+    They may not when some later point that is not a copy of p_a lies at
+    a squared distance outside the screen's range.
     """
-    if not 1 <= k <= m:
-        raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
-    tail = np.empty((1, 0), dtype=np.intp)
-    for width in range(1, k):
-        tail = np.concatenate(list(_leading_blocks(m, width, tail)))
-    yield from _leading_blocks(m, k, tail)
+    m = len(cols[0])
+    span = _SCREEN_SPAN ** (1.0 / max(k - 1, 1))
+    reach, screened = np.zeros(m), np.ones(m, dtype=bool)
+    step = max(1, _FRONTIER_ROWS // m)
+    for lo in range(0, m, step):
+        lead = np.arange(lo, min(lo + step, m))[:, None]
+        later = np.arange(m) > lead
+        with np.errstate(over="ignore", under="ignore"):
+            sq = sum((c - c[lead]) ** 2 for c in cols)
+        same = np.logical_and.reduce([c == c[lead] for c in cols])
+        inside = same | ((sq >= 1.0 / span) & (sq <= span))
+        screened[lead[:, 0]] = (inside | ~later).all(axis=1)
+        reach[lead[:, 0]] = np.where(later, sq, 0.0).max(axis=1)
+    return reach * (1.0 + _THRESHOLD_MARGIN), screened
 
 
-def _screened_determinants(
-    edges: list[list[np.ndarray]], diag: list[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gram determinants of many simplices, and Hadamard's bound for each.
+def _branch_and_bound(
+    pts: np.ndarray, k: int, seed: float
+) -> tuple[tuple[int, ...] | None, float]:
+    """First K-subset, in lexicographic order, of the best exact score.
 
-    ``edges[i][j]`` holds coordinate j of edge i for every simplex, and
-    ``diag[i]`` its squared length.  Off-diagonal Gram entries are
-    elementwise sums of products; the determinant is the product of the
-    pivots of elimination without pivoting, which a positive semi-definite
-    Gram matrix allows.  A pivot that is not positive (the simplex is
-    degenerate to rounding) gives determinant 0.
+    A run of prefixes (a, ..., c) is held as an index array plus, per row,
+    the Gram determinant det, Hadamard's bound had on it (the product of
+    the squared edge lengths |x - p_a|^2) and an orthonormal basis of the
+    edges, one array per coordinate of each basis vector.  Extending by x
+    multiplies det by dist^2(x, aff prefix), the squared residual of
+    x - p_a after modified Gram-Schmidt against that basis, and had by
+    |x - p_a|^2.  Returns (None, -inf) when nothing scores above -inf.
     """
-    n = len(edges)
-    gram = [[None] * n for _ in range(n)]
-    for i in range(n):
-        gram[i][i] = diag[i]
-        for j in range(i + 1, n):
-            gram[i][j] = sum(x * y for x, y in zip(edges[i], edges[j]))
-    det = diag[0].copy()
-    bound = diag[0].copy()
-    positive = diag[0] > 0.0
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                factor = gram[i][j] / gram[i][i]
-                for q in range(j, n):
-                    gram[j][q] = gram[j][q] - factor * gram[i][q]
-            # Computed pivots never exceed the diagonal, so positive ones
-            # keep det within [0, bound].
-            positive &= gram[i + 1][i + 1] > 0.0
-            det *= gram[i + 1][i + 1]
-            bound *= diag[i + 1]
-    return np.where(positive, det, 0.0), bound
+    m, d = pts.shape
+    cols = [np.ascontiguousarray(pts[:, j]) for j in range(d)]
+    reach, screened = _anchor_reach(cols, k)
+    best, best_lv = None, -math.inf
 
+    def visit(idx, state):
+        nonlocal best, best_lv
+        level = idx.shape[1] - 1
+        log_cut = 2.0 * (max(seed, best_lv) + math.lgamma(k))
+        cut = math.inf  # above every bound of a prefix that may be pruned
+        if log_cut <= math.log(_SCREEN_SPAN) + 1.0:
+            cut = math.exp(log_cut) * (1.0 - _THRESHOLD_MARGIN)
+        det, had = state[:2]
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = (det + _SCREEN_SLACK * had) * reach[idx[:, 0]] ** (k - 1 - level)
+        keep = np.flatnonzero(~screened[idx[:, 0]] | (bound >= cut))
+        if keep.size == 0:
+            return
+        idx, state = idx[keep], [s[keep] for s in state]
+        if level == k - 1:
+            lv = _batch_log_volumes(pts, idx)
+            i = int(np.argmax(lv))
+            if lv[i] > best_lv:
+                best, best_lv = tuple(int(c) for c in idx[i]), float(lv[i])
+            return
+        # Extend by every x with last < x <= m - k + level + 1, in
+        # lexicographic order, at most _FRONTIER_ROWS rows at a time.
+        last = idx[:, -1]
+        count = m - k + level + 1 - last
+        ends = np.cumsum(count)
+        for lo in range(0, int(ends[-1]), _FRONTIER_ROWS):
+            flat = np.arange(lo, min(lo + _FRONTIER_ROWS, int(ends[-1])))
+            parent = np.searchsorted(ends, flat, side="right")
+            x = last[parent] + 1 + flat - (ends[parent] - count[parent])
+            det, had, *basis = [s[parent] for s in state]
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                edge = [c[x] - c[idx[parent, 0]] for c in cols]
+                sq = sum(e * e for e in edge)
+                for j in range(0, len(basis), d):
+                    r = sum(e * q for e, q in zip(edge, basis[j : j + d]))
+                    edge = [e - r * q for e, q in zip(edge, basis[j : j + d])]
+                dist = sum(e * e for e in edge)
+                grown = [det * dist, had * sq]
+                if level + 2 < k:
+                    scale = np.where(dist > 0.0, 1.0 / np.sqrt(dist), 0.0)
+                    grown += basis + [e * scale for e in edge]
+            visit(np.column_stack([idx[parent], x]), grown)
 
-def _screened_rows(
-    columns: list[np.ndarray],
-    lead: int,
-    tails: list[np.ndarray],
-    tail_coords: list[list[np.ndarray]],
-    count: int,
-    best_lv: float,
-) -> np.ndarray | None:
-    """Rows of the block led by ``lead`` whose exact score could be best.
-
-    Returns None when the block's edge lengths are out of the screen's
-    range, so every row must be scored exactly.  Otherwise the threshold
-    is the best exact score so far, or the score of the block's best
-    screened lower bound if higher; some scored row reaches either.  A
-    skipped row's exact determinant is below its screened determinant
-    plus the slack, which is below the threshold's determinant, so the
-    row is strictly worse than the final best.
-    """
-    k = len(tails) + 1
-    later = slice(lead + 1, None)
-    with np.errstate(over="ignore", under="ignore"):
-        sq = sum((c - c[lead]) ** 2 for c in columns)
-    same = np.logical_and.reduce([c[later] == c[lead] for c in columns])
-    span = _SCREEN_SPAN ** (1.0 / (k - 1))
-    if not np.all(same | ((sq[later] >= 1.0 / span) & (sq[later] <= span))):
-        return None
-    edges = [
-        [x[len(x) - count :] - c[lead] for x, c in zip(coords, columns)]
-        for coords in tail_coords
-    ]
-    diag = [sq[t[len(t) - count :]] for t in tails]
-    det, bound = _screened_determinants(edges, diag)
-    slack = _SCREEN_SLACK * bound
-    shift = math.lgamma(k)
-    threshold = best_lv
-    lower = float((det - slack).max())
-    if lower > 0.0 and math.log(lower) > _LOG_DET_FLOOR + 1.0:
-        threshold = max(threshold, 0.5 * math.log(lower) - shift)
-    if threshold == -math.inf:
-        return np.arange(count)
-    log_cut = 2.0 * (threshold + shift)
-    if log_cut > math.log(_SCREEN_SPAN) + 1.0:
-        # Beyond every determinant the screen admits (bound <= span).
-        return np.arange(0)
-    cut = math.exp(log_cut) * (1.0 - _THRESHOLD_MARGIN)
-    return np.flatnonzero(det + slack >= cut)
+    for lo in range(0, m - k + 1, _FRONTIER_ROWS):
+        lead = np.arange(lo, min(lo + _FRONTIER_ROWS, m - k + 1))
+        visit(lead[:, None], [np.ones(len(lead)), np.ones(len(lead))])
+    return best, best_lv
 
 
 def max_volume_exhaustive(
     candidates: np.ndarray, k: int, budget: int = EXHAUSTIVE_BUDGET
 ) -> VertexSubset:
-    """Globally best K-subset by simplex volume, enumerated exhaustively.
+    """Globally best K-subset by simplex volume, by exhaustive branch and bound.
 
-    Enumeration is lexicographic, one leading-index block at a time.  Each
-    block is screened first, and only the subsets whose screened bound can
-    reach the best exact score are scored exactly.  A skipped subset is
-    strictly worse than the final best, so accepting a new subset only
-    when strictly better resolves ties to the smallest index tuple,
-    exactly as in a scan that scores every subset.
+    The seed is the exact score of the greedy search's subset (-inf when
+    greedy finds none).  Prefixes are extended in lexicographic order, a
+    bounded run at a time; a prefix is dropped when
+    (det + _SCREEN_SLACK * had) * R2(a)**(K - 1 - j) is below the
+    determinant of max(seed, best exact score so far), with j its edge
+    count and R2(a) the largest |x - p_a|^2 over later x.  The survivors
+    at K points are scored exactly, in lexicographic order, and a subset
+    is accepted only when strictly better.  A dropped subset scores
+    strictly below that threshold, which some scored or seed subset
+    reaches, so the first maximum survives: the result, including the
+    smallest-index-tuple tie-break, is bitwise that of scoring every
+    subset exactly.
     """
     pts = np.asarray(candidates, dtype=float)
     m = pts.shape[0]
+    if k < 1:
+        raise ValueError(f"need k >= 1, got {k}")
     if m < k:
         raise ValueError(f"need at least {k} candidates, got {m}")
     total = math.comb(m, k)
     if total > budget:
         raise BudgetExceeded(f"{total} subsets exceed budget {budget}")
 
-    columns = [np.ascontiguousarray(pts[:, j]) for j in range(pts.shape[1])]
-    best_lv = -math.inf
-    best: tuple[int, ...] | None = None
-    tails = None
-    for combos in combo_blocks(m, k):
-        if tails is None:
-            # Later blocks' trailing columns are suffixes of these.
-            tails = [np.ascontiguousarray(combos[:, i]) for i in range(1, k)]
-            tail_coords = [[c[t] for c in columns] for t in tails]
-        rows = None
-        if k >= 2:
-            rows = _screened_rows(
-                columns, int(combos[0, 0]), tails, tail_coords, len(combos), best_lv
-            )
-        if rows is not None:
-            if rows.size == 0:
-                continue
-            combos = combos[rows]
-        lv = _batch_log_volumes(pts, combos)
-        i = int(np.argmax(lv))
-        if lv[i] > best_lv:
-            best_lv = float(lv[i])
-            best = tuple(int(c) for c in combos[i])
-    if best is None or best_lv == -math.inf:
+    try:
+        seed_rows = np.asarray([sorted(max_volume_greedy(pts, k).indices)], dtype=np.intp)
+        seed = float(_batch_log_volumes(pts, seed_rows)[0])
+    except AllDegenerate:
+        seed = -math.inf
+    best, best_lv = _branch_and_bound(pts, k, seed)
+    if best is None:
         raise AllDegenerate("every candidate subset spans a degenerate simplex")
     return VertexSubset(best, best_lv)
 
@@ -403,6 +385,9 @@ def max_volume_greedy(
             combos = np.tile(np.asarray(current, dtype=np.intp), (m, 1))
             combos[:, slot] = all_idx
             lv = _batch_log_volumes(pts, combos)
+            # A repeated index spans a degenerate simplex, however rounding
+            # scores it.
+            lv[current[:slot] + current[slot + 1 :]] = -np.inf
             j = int(np.argmax(lv))
             if lv[j] > current_lv + SWAP_GAIN_TOL:
                 current[slot] = j

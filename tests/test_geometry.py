@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from conftest import det_log_volume, lp_hull_vertices
 
+from apportion import geometry
+from apportion.estimator import EstimatorConfig, extract_candidates, row_normalize
 from apportion.exceptions import (
     AllDegenerate,
     BudgetExceeded,
@@ -17,14 +19,15 @@ from apportion.exceptions import (
 )
 from apportion.geometry import (
     _batch_log_volumes,
+    VertexSubset,
     affine_right_inverse,
-    combo_blocks,
     hull_vertices,
     intrinsic_projection,
     max_volume_exhaustive,
     max_volume_greedy,
     simplex_log_volume,
 )
+from apportion.synthgen import RngSpec, make_ground_truth
 
 
 def exact_scan(pts, k):
@@ -209,23 +212,45 @@ class TestSimplexLogVolume:
 
 
 class TestComboBlocks:
+    """The blocks of combinations the exhaustive search scores exactly.
+
+    With every subset degenerate the threshold never rises above -inf, so
+    nothing is pruned and every subset reaches the exact scoring.
+    """
+
+    @staticmethod
+    def scored_blocks(monkeypatch, m, k):
+        blocks = []
+
+        def recording(points, combos):
+            blocks.append(combos.copy())
+            return _batch_log_volumes(points, combos)
+
+        def no_seed(*args, **kwargs):
+            raise AllDegenerate("no seed")
+
+        monkeypatch.setattr(geometry, "_batch_log_volumes", recording)
+        monkeypatch.setattr(geometry, "max_volume_greedy", no_seed)
+        try:
+            max_volume_exhaustive(np.zeros((m, max(k - 1, 1))), k)
+        except AllDegenerate:
+            assert k > 1
+        return blocks
+
     @pytest.mark.parametrize("m", range(1, 13))
-    def test_concatenation_is_itertools_order(self, m):
+    def test_concatenation_is_itertools_order(self, monkeypatch, m):
         for k in range(1, m + 1):
-            blocks = list(combo_blocks(m, k))
             expected = np.asarray(list(itertools.combinations(range(m), k)))
-            assert np.array_equal(np.concatenate(blocks), expected)
-            # One block per leading index, each trailing part a suffix of
-            # the previous one (both searches rely on it).
-            assert [int(b[0, 0]) for b in blocks] == list(range(m - k + 1))
-            assert all((b[:, 0] == b[0, 0]).all() for b in blocks)
-            for prev, cur in zip(blocks, blocks[1:]):
-                assert np.array_equal(cur[:, 1:], prev[len(prev) - len(cur) :, 1:])
+            for rows in (geometry._FRONTIER_ROWS, 7):
+                monkeypatch.setattr(geometry, "_FRONTIER_ROWS", rows)
+                blocks = self.scored_blocks(monkeypatch, m, k)
+                assert max(map(len, blocks)) <= rows
+                assert np.array_equal(np.concatenate(blocks), expected)
 
     @pytest.mark.parametrize("m,k", [(3, 0), (3, 4)])
     def test_rejects_out_of_range_k(self, m, k):
         with pytest.raises(ValueError):
-            next(combo_blocks(m, k))
+            max_volume_exhaustive(np.zeros((m, 2)), k)
 
 
 class TestMaxVolumeExhaustive:
@@ -326,6 +351,122 @@ class TestMaxVolumeExhaustive:
         positions = rng.integers(-8, 9, size=k + extra).astype(float)
         assert_matches_exact_scan(positions[:, None] * direction, k)
 
+def study_candidates(seed):
+    """Hull candidates of a study-shaped input (J=8, K=4, n=1e4)."""
+    y, _ = make_ground_truth(10_000, 8, 4, "ar1", RngSpec(seed))
+    return extract_candidates(row_normalize(y), EstimatorConfig(K=4)).z
+
+
+def seed_cases():
+    """Small clouds, with exact ties, near-duplicates and rounding-only
+    volumes, for the seed and chunking tests: (points, k)."""
+    rng = np.random.default_rng(63)
+    pts = np.vstack([rng.normal(size=(9, 2)), [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]])
+    cases = [(pts, 3), (np.vstack([pts, pts]), 3), (np.vstack([pts[9:], pts]), 3)]
+    for k in (4, 5):
+        cloud = rng.normal(size=(11, k - 1))
+        cases.append((cloud, k))
+        cases.append((np.vstack([cloud, cloud[:4], cloud[:2] + 1e-13]), k))
+    cases.append((np.vstack([np.eye(1, 3) * 1e130, rng.normal(size=(9, 3))]), 4))
+    # Collinear integer clouds: every subset is degenerate, and slogdet
+    # scores some of them finite by rounding.
+    for seed in range(10):
+        for k in (4, 5):
+            rng = np.random.default_rng(seed)
+            direction = rng.integers(1, 4, size=3).astype(float)
+            positions = rng.integers(-8, 9, size=k + 4).astype(float)
+            cases.append((positions[:, None] * direction, k))
+    return cases
+
+
+class TestBranchAndBound:
+    """The exhaustive search's result does not depend on its greedy seed,
+    on how many prefixes it extends at once, or on its pruning, and the
+    pruning does remove most subsets on study-shaped inputs."""
+
+    @staticmethod
+    def seeded_with(monkeypatch, mode, pts, k):
+        combos = np.asarray(list(itertools.combinations(range(len(pts)), k)))
+        lv = _batch_log_volumes(pts, combos)
+        finite = np.flatnonzero(lv > -math.inf)
+
+        def fake_greedy(candidates, kk, *args, **kwargs):
+            if mode == "none" or finite.size == 0:
+                raise AllDegenerate("no seed")
+            pick = int(np.argmax(lv)) if mode == "optimum" else int(finite[np.argmin(lv[finite])])
+            # Search order differs from sorted order; the seed is rescored.
+            indices = tuple(int(i) for i in combos[pick][::-1])
+            return VertexSubset(indices, float(lv[pick]))
+
+        monkeypatch.setattr(geometry, "max_volume_greedy", fake_greedy)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 5),
+        st.integers(0, 7),
+        st.booleans(),
+        st.sampled_from(["optimum", "worst", "none"]),
+    )
+    def test_any_seed_matches_exact_scan(self, seed, k, extra, duplicate, mode):
+        rng = np.random.default_rng(seed)
+        pts = rng.normal(size=(k + extra, k - 1))
+        if duplicate:
+            pts = np.vstack([pts, pts[rng.integers(len(pts), size=3)]])
+        with pytest.MonkeyPatch.context() as mp:
+            self.seeded_with(mp, mode, pts, k)
+            assert_matches_exact_scan(pts, k)
+
+    @pytest.mark.parametrize("mode", ["optimum", "worst", "none"])
+    def test_any_seed_matches_exact_scan_on_fixed_cases(self, monkeypatch, mode):
+        for pts, k in seed_cases():
+            self.seeded_with(monkeypatch, mode, pts, k)
+            assert_matches_exact_scan(pts, k)
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_result_independent_of_frontier_rows(self, monkeypatch, rows):
+        def outcome(pts, k):
+            try:
+                result = max_volume_exhaustive(pts, k)
+            except AllDegenerate:
+                return None
+            return result.indices, result.log_volume.hex()
+
+        cases = seed_cases() + [(study_candidates(0), 4)] * (rows > 1)
+        expected = [outcome(pts, k) for pts, k in cases]
+        monkeypatch.setattr(geometry, "_FRONTIER_ROWS", rows)
+        assert [outcome(pts, k) for pts, k in cases] == expected
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_threshold_is_exact_without_slack(self, monkeypatch, seed):
+        # With no rounding slack, only the margins keep the optimum: the
+        # threshold must be the seed subset's own exact score, no higher.
+        rng = np.random.default_rng(seed)
+        monkeypatch.setattr(geometry, "_SCREEN_SLACK", 0.0)
+        for k in (3, 4, 5):
+            pts = rng.normal(size=(12, k - 1))
+            self.seeded_with(monkeypatch, "optimum", pts, k)
+            assert_matches_exact_scan(pts, k)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_prunes_study_candidates(self, monkeypatch, seed):
+        pts = study_candidates(seed)
+        greedy = max_volume_greedy(pts, 4)
+        scored = []
+
+        def recording(points, combos):
+            scored.append(len(combos))
+            return _batch_log_volumes(points, combos)
+
+        monkeypatch.setattr(geometry, "max_volume_greedy", lambda *a, **kw: greedy)
+        monkeypatch.setattr(geometry, "_batch_log_volumes", recording)
+        result = max_volume_exhaustive(pts, 4)
+        assert sum(scored) <= 0.01 * math.comb(len(pts), 4)
+        expected = exact_scan(pts, 4)
+        assert result.indices == expected[0]
+        assert result.log_volume.hex() == expected[1].hex()
+
+
 class TestMaxVolumeGreedy:
     def test_exactly_k_candidates(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -356,6 +497,32 @@ class TestMaxVolumeGreedy:
         pts = np.ones((6, 2))
         with pytest.raises(AllDegenerate):
             max_volume_greedy(pts, 3)
+
+    def test_collinear_swap_keeps_indices_distinct(self):
+        # A swap onto an index already in the subset scores a rounded
+        # finite volume; it must not be accepted over -inf.
+        rng = np.random.default_rng(0)
+        direction = rng.integers(1, 4, 3).astype(float)
+        positions = rng.integers(-8, 9, 3).astype(float)
+        with pytest.raises(AllDegenerate):
+            max_volume_greedy(positions[:, None] * direction, 3)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 5),
+        st.integers(1, 4),
+        st.integers(0, 5),
+    )
+    def test_collinear_distinct_or_all_degenerate(self, seed, k, d, extra):
+        rng = np.random.default_rng(seed)
+        direction = rng.integers(1, 4, size=d).astype(float)
+        positions = rng.integers(-8, 9, size=k + extra).astype(float)
+        try:
+            result = max_volume_greedy(positions[:, None] * direction, k)
+        except AllDegenerate:
+            return
+        assert len(set(result.indices)) == k
 
 
 class TestAffineRightInverse:
