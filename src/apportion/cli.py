@@ -30,6 +30,7 @@ from .estimator import (
     apportion,
 )
 from .evaluation import (
+    STUDY_SEARCHES,
     MetricsRecord,
     StudyDesign,
     align_rows,
@@ -39,7 +40,7 @@ from .evaluation import (
     summarize_records,
 )
 from .exceptions import ApportionError, NegativeValue, NonFinite, ParseError
-from .synthgen import RngSpec, make_ground_truth
+from .synthgen import PROCESSES, RngSpec, make_ground_truth
 
 WORKERS_ENV = "APPORTION_WORKERS"
 
@@ -227,11 +228,7 @@ def _cmd_simulate(args) -> int:
     _write_matrix(out / "y.csv", y.values, y.pollutant_names)
     _write_matrix(out / "w_true.csv", truth.W, source_labels)
     _write_labeled_matrix(out / "h_true.csv", truth.H, source_labels, y.pollutant_names)
-    _write_rows(
-        out / "mu_true.csv",
-        ["source", "mu"],
-        ([lab, _fmt(v)] for lab, v in zip(source_labels, truth.mu)),
-    )
+    _write_labeled_matrix(out / "mu_true.csv", truth.mu[:, None], source_labels, ["mu"])
     _write_labeled_matrix(
         out / "phi_true.csv", truth.phi_true.values, source_labels, y.pollutant_names
     )
@@ -254,17 +251,22 @@ def _cmd_simulate(args) -> int:
 
 
 def _estimator_config(args) -> EstimatorConfig:
-    return EstimatorConfig(
+    """Every ``estimate`` flag but ``--input`` and ``--out`` is the field
+    of ``EstimatorConfig`` that its dest names."""
+    fields = dataclasses.fields(EstimatorConfig)
+    return EstimatorConfig(**{f.name: getattr(args, f.name) for f in fields})
+
+
+def _study_design(args) -> StudyDesign:
+    return StudyDesign(
+        process=args.process,
+        J=args.J,
         K=args.K,
+        n_grid=tuple(int(v) for v in args.n_grid.split(",")),
+        replicates=args.replicates,
         search=args.search,
-        prune=args.prune,
-        prune_clusters=args.prune_clusters,
-        epsilon_clip=args.epsilon_clip,
-        rank_cap=args.rank_cap,
-        exhaustive_budget=args.exhaustive_budget,
-        max_sweeps=args.max_sweeps,
-        mean_method=args.mean_method,
-        zero_row_policy=args.zero_row_policy,
+        master_seed=args.seed,
+        n_candidates=args.n_candidates,
     )
 
 
@@ -276,11 +278,7 @@ def _cmd_estimate(args) -> int:
     labels = est.phi_hat.source_labels
     _write_labeled_matrix(out / "phi_hat.csv", est.phi_hat.values, labels, y.pollutant_names)
     _write_labeled_matrix(out / "h_star_hat.csv", est.h_star_hat, labels, y.pollutant_names)
-    _write_rows(
-        out / "m_tilde.csv",
-        ["source", "m_tilde"],
-        ([lab, _fmt(v)] for lab, v in zip(labels, est.m_tilde)),
-    )
+    _write_labeled_matrix(out / "m_tilde.csv", est.m_tilde[:, None], labels, ["m_tilde"])
     with _open_write(out / "diagnostics.json") as fh:
         json.dump(dataclasses.asdict(est.diagnostics), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -344,23 +342,14 @@ def _metrics_csv_rows(records: list[MetricsRecord]):
 
 def _cmd_convergence_study(args) -> int:
     out = _out_dir(args.out)
-    design = StudyDesign(
-        process=args.process,
-        J=args.J,
-        K=args.K,
-        n_grid=tuple(int(v) for v in args.n_grid.split(",")),
-        replicates=args.replicates,
-        search=args.search,
-        master_seed=args.seed,
-        n_candidates=args.n_candidates,
-        prune=args.prune,
-    )
+    design = _study_design(args)
     records = convergence_study(design, workers=args.workers)
     _write_rows(
         out / "metrics.csv",
         ["n", "replicate", "nrmse", "nfd", "runtime_seconds", "search_used"],
         _metrics_csv_rows(records),
     )
+    outputs = ["metrics.csv"]
     summary = summarize_records(records)
     if summary:
         _write_rows(
@@ -372,6 +361,7 @@ def _cmd_convergence_study(args) -> int:
                 for row in summary
             ),
         )
+        outputs.append("summary.csv")
     failures = [
         {"n": r.n, "replicate": r.replicate, "search": r.search_used, "error": r.error}
         for r in records
@@ -380,7 +370,7 @@ def _cmd_convergence_study(args) -> int:
     config = dataclasses.asdict(design)
     config["workers"] = args.workers
     config["failures"] = failures
-    _write_manifest(out, "convergence-study", config, ["metrics.csv", "summary.csv"])
+    _write_manifest(out, "convergence-study", config, outputs)
     return 0
 
 
@@ -400,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="generate synthetic data plus ground truth")
-    sim.add_argument("--process", choices=["ar1", "mixture"], default="ar1")
+    sim.add_argument("--process", choices=PROCESSES, default="ar1")
     sim.add_argument("--n", type=int, required=True)
     sim.add_argument("--J", type=int, required=True)
     sim.add_argument("--K", type=int, required=True)
@@ -414,10 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--input", type=_existing_file, required=True)
     est.add_argument("--K", type=int, required=True)
     est.add_argument("--search", choices=SEARCH_MODES, default=EstimatorConfig.search)
-    est.add_argument("--prune", action="store_true")
-    est.add_argument(
-        "--prune-clusters", type=int, default=EstimatorConfig.prune_clusters
-    )
     est.add_argument(
         "--epsilon-clip", type=float, default=EstimatorConfig.epsilon_clip
     )
@@ -446,17 +432,14 @@ def build_parser() -> argparse.ArgumentParser:
     study = sub.add_parser(
         "convergence-study", help="replicated estimation across sample sizes"
     )
-    study.add_argument("--process", choices=["ar1", "mixture"], default="ar1")
-    study.add_argument("--J", type=int, default=8)
-    study.add_argument("--K", type=int, default=3)
-    study.add_argument("--n-grid", default="100,300,1500,10000")
-    study.add_argument("--replicates", type=int, default=50)
-    study.add_argument(
-        "--search", choices=["greedy", "exhaustive", "auto", "both"], default="greedy"
-    )
-    study.add_argument("--seed", type=int, default=0)
-    study.add_argument("--n-candidates", type=int, default=None)
-    study.add_argument("--prune", action="store_true")
+    study.add_argument("--process", choices=PROCESSES, default=StudyDesign.process)
+    study.add_argument("--J", type=int, default=StudyDesign.J)
+    study.add_argument("--K", type=int, default=StudyDesign.K)
+    study.add_argument("--n-grid", default=",".join(map(str, StudyDesign.n_grid)))
+    study.add_argument("--replicates", type=int, default=StudyDesign.replicates)
+    study.add_argument("--search", choices=STUDY_SEARCHES, default=StudyDesign.search)
+    study.add_argument("--seed", type=int, default=StudyDesign.master_seed)
+    study.add_argument("--n-candidates", type=int, default=StudyDesign.n_candidates)
     study.add_argument("--workers", type=int, default=_default_workers())
     study.add_argument("--out", required=True)
     study.set_defaults(func=_cmd_convergence_study)

@@ -92,8 +92,6 @@ class EstimatorConfig:
 
     K: int
     search: str = "auto"
-    prune: bool = False
-    prune_clusters: int = 50
     epsilon_clip: float = 1e-10
     rank_cap: int | None = None
     exhaustive_budget: int = geometry.EXHAUSTIVE_BUDGET
@@ -110,8 +108,6 @@ class EstimatorConfig:
             raise ValueError("epsilon_clip must lie in (0, 1e-3]")
         if self.rank_cap is not None and self.rank_cap < 1:
             raise ValueError("rank_cap must be >= 1")
-        if self.prune_clusters < 1:
-            raise ValueError("prune_clusters must be >= 1")
         if self.mean_method not in MEAN_METHODS:
             raise ValueError(f"mean_method must be one of {MEAN_METHODS}")
         if self.zero_row_policy not in ZERO_ROW_POLICIES:
@@ -162,7 +158,6 @@ class CandidateSet:
     z: np.ndarray  # (m, r_B) projected coordinates
     basis: ProjectionBasis
     n_hull_vertices: int
-    pruned: bool
 
 
 @dataclass(frozen=True)
@@ -172,7 +167,9 @@ class Diagnostics:
     ``subset_rows`` holds the chosen profile rows as indices into the
     normalized data (the convention of ``CandidateSet.indices``), in the
     order of the rows of the profile estimate; it is empty for K = 1,
-    whose profile is the mean row.
+    whose profile is the mean row.  ``n_candidates_after_prune`` keeps the
+    layout of ``diagnostics.json``: the search takes every hull vertex as
+    a candidate, so it always equals ``n_hull_vertices``.
     """
 
     r_b: int
@@ -236,47 +233,9 @@ def row_normalize(
     )
 
 
-def _prune_indices(z: np.ndarray, n_clusters: int) -> np.ndarray:
-    """Cluster projected candidates and keep one representative each.
-
-    Deterministic: farthest-point seeding, Lloyd iterations capped at 20,
-    and the member farthest from the global candidate centroid kept per
-    cluster.  Returns sorted positions into the candidate arrays.
-    """
-    centroid = z.mean(axis=0)
-    spread = ((z - centroid) ** 2).sum(axis=1)
-
-    seeds = [int(np.argmax(spread))]
-    min_d = ((z - z[seeds[0]]) ** 2).sum(axis=1)
-    while len(seeds) < n_clusters:
-        nxt = int(np.argmax(min_d))
-        seeds.append(nxt)
-        min_d = np.minimum(min_d, ((z - z[nxt]) ** 2).sum(axis=1))
-
-    centers = z[seeds].copy()
-    assign = np.zeros(len(z), dtype=np.intp)
-    for _ in range(20):
-        d2 = ((z[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        assign = np.argmin(d2, axis=1)
-        new_centers = centers.copy()
-        for c in range(n_clusters):
-            members = assign == c
-            if members.any():
-                new_centers[c] = z[members].mean(axis=0)
-        if np.array_equal(new_centers, centers):
-            break
-        centers = new_centers
-
-    keep = []
-    for c in range(n_clusters):
-        members = np.flatnonzero(assign == c)
-        if members.size:
-            keep.append(int(members[np.argmax(spread[members])]))
-    return np.unique(keep)
-
-
 def extract_candidates(data: RowNormalizedData, cfg: EstimatorConfig) -> CandidateSet:
-    """Hull-vertex candidate rows of Y*, optionally pruned by clustering."""
+    """Hull-vertex candidate rows of Y*, or every row when the hull
+    dimension is above ``geometry.HULL_DIM_MAX``."""
     n = data.ystar.shape[0]
     if n < cfg.K + 1:
         raise TooFewCandidates(f"need at least K+1={cfg.K + 1} rows, got {n}")
@@ -290,12 +249,6 @@ def extract_candidates(data: RowNormalizedData, cfg: EstimatorConfig) -> Candida
             stacklevel=2,
         )
         idx = np.arange(n, dtype=np.intp)
-    n_hull = int(idx.size)
-
-    pruned = False
-    if cfg.prune and idx.size > cfg.prune_clusters:
-        idx = idx[_prune_indices(z[idx], cfg.prune_clusters)]
-        pruned = True
     if idx.size < cfg.K:
         raise TooFewCandidates(
             f"{idx.size} candidates for K={cfg.K}; hull has too few vertices"
@@ -305,8 +258,7 @@ def extract_candidates(data: RowNormalizedData, cfg: EstimatorConfig) -> Candida
         indices=idx,
         z=z[idx],
         basis=basis,
-        n_hull_vertices=n_hull,
-        pruned=pruned,
+        n_hull_vertices=int(idx.size),
     )
 
 
@@ -422,10 +374,11 @@ def apportion(y: ConcentrationMatrix, cfg: EstimatorConfig) -> ApportionmentEsti
         with _stage("compute_phi"):
             phi = compute_phi(m_tilde, hstar, pollutant_names=y.pollutant_names)
 
+    n_hull = cands.n_hull_vertices if cands is not None else 1
     diag = Diagnostics(
         r_b=cands.basis.rank if cands is not None else 0,
-        n_hull_vertices=cands.n_hull_vertices if cands is not None else 1,
-        n_candidates_after_prune=len(cands.indices) if cands is not None else 1,
+        n_hull_vertices=n_hull,
+        n_candidates_after_prune=n_hull,
         log_volume=subset.log_volume,
         search_used=used,
         warnings=tuple(str(w.message) for w in caught),

@@ -29,7 +29,7 @@ from .exceptions import (
     ShapeMismatch,
     ZeroNormRow,
 )
-from .synthgen import REPLICATE_STRIDE, RngSpec, make_ground_truth
+from .synthgen import PROCESSES, REPLICATE_STRIDE, RngSpec, make_ground_truth
 
 STUDY_SEARCHES = ("greedy", "exhaustive", "auto", "both")
 # Points per minimum-norm-point batch; each step holds a (rows, s, s) KKT
@@ -67,10 +67,11 @@ class StudyDesign:
     search: str = "greedy"
     master_seed: int = 0
     n_candidates: int | None = None
-    prune: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
+        if self.process not in PROCESSES:
+            raise ValueError(f"process must be one of {PROCESSES}")
         if self.search not in STUDY_SEARCHES:
             raise ValueError(f"search must be one of {STUDY_SEARCHES}")
         if not 1 <= self.K < self.J:
@@ -300,7 +301,7 @@ def _run_study_task(design: StudyDesign, task: tuple[int, int, int]):
     searches = ("greedy", "exhaustive") if design.search == "both" else (design.search,)
     records = []
     for search in searches:
-        cfg = EstimatorConfig(K=design.K, search=search, prune=design.prune)
+        cfg = EstimatorConfig(K=design.K, search=search)
         start = time.perf_counter()
         try:
             est: ApportionmentEstimate = apportion(y, cfg)

@@ -29,6 +29,7 @@ PROFILE_STREAM = 1 << 15
 PARAMS_STREAM = (1 << 15) + 1
 
 AR_COEF = 0.8
+PROCESSES = ("ar1", "mixture")
 
 
 @dataclass(frozen=True)
@@ -312,6 +313,8 @@ def make_ground_truth(
     """
     if not 1 <= K < J:
         raise ValueError("need 1 <= K < J")
+    if process not in PROCESSES:
+        raise ValueError("process must be 'ar1' or 'mixture'")
     if n_candidates is None:
         n_candidates = 10 * K
     H = generate_profile_matrix(J, K, n_candidates, rng.substream(PROFILE_STREAM))
@@ -319,12 +322,10 @@ def make_ground_truth(
         params = draw_ar1_params(K, rng.substream(PARAMS_STREAM))
         W = simulate_log_ar1(n, params, rng)
         mu = population_mean_log_ar1(params)
-    elif process == "mixture":
+    else:
         params = draw_mixture_params(K, rng.substream(PARAMS_STREAM))
         W = simulate_lognormal_mixture(n, params, rng)
         mu = population_mean_mixture(params)
-    else:
-        raise ValueError("process must be 'ar1' or 'mixture'")
     if plant_corners:
         W = np.vstack([W, np.diag(mu)])
     truth = GroundTruth(W=W, H=H, mu=mu, phi_true=true_phi(mu, H))

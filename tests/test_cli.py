@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from apportion import cli
 from apportion.cli import load_concentrations, main
 from apportion.estimator import ConcentrationMatrix, EstimatorConfig, apportion
-from apportion.evaluation import align_rows, nfd, nrmse
+from apportion.evaluation import StudyDesign, align_rows, nfd, nrmse
 from apportion.exceptions import NegativeValue, NonFinite, ParseError
 from apportion.synthgen import RngSpec, make_ground_truth
 
@@ -292,6 +292,7 @@ class TestEstimateCommand:
         np.testing.assert_allclose(hvals.sum(axis=1), 1.0, atol=1e-10)
         diag = json.loads((est / "diagnostics.json").read_text())
         assert {"r_b", "n_hull_vertices", "n_candidates_after_prune", "log_volume", "search_used", "warnings"} <= set(diag)
+        assert diag["n_candidates_after_prune"] == diag["n_hull_vertices"]
         scatter = read_csv(est / "hull_scatter.csv")
         assert scatter[0][-1] == "selected"
         assert sum(int(r[-1]) for r in scatter[1:]) == 3
@@ -412,6 +413,14 @@ def test_estimate_defaults_are_estimator_config_defaults(tmp_path):
         ["estimate", "--input", str(path), "--K", "3", "--out", str(tmp_path / "o")]
     )
     assert cli._estimator_config(args) == EstimatorConfig(K=3)
+    # A field without a flag, or a flag without a field, fails here.
+    dests = set(vars(args)) - {"command", "func", "input", "out"}
+    assert dests == {f.name for f in dataclasses.fields(EstimatorConfig)}
+
+
+def test_study_defaults_are_study_design_defaults():
+    args = cli.build_parser().parse_args(["convergence-study", "--out", "ignored"])
+    assert cli._study_design(args) == StudyDesign()
 
 
 class TestEndToEnd:
@@ -475,6 +484,16 @@ class TestConvergenceStudyCommand:
         assert manifest["config"]["master_seed"] == 11
         assert manifest["config"]["failures"] == []
         assert (out / "summary.csv").is_file()
+
+    def test_manifest_lists_only_written_outputs(self, tmp_path):
+        # n = 3 < K + 1 rows: every task fails, so no summary is written.
+        out = tmp_path / "study"
+        args = ["convergence-study", "--n-grid", "3", "--replicates", "2", "--K", "3"]
+        assert main(args + ["--out", str(out)]) == 0
+        assert not (out / "summary.csv").exists()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == ["metrics.csv"]
+        assert len(manifest["config"]["failures"]) == 2
 
     def test_paper_scale_row_count(self, tmp_path):
         out = tmp_path / "study"

@@ -91,26 +91,6 @@ class TestExtractCandidates:
         _, z = intrinsic_projection(data.ystar, cfg.effective_rank_cap())
         assert sorted(cands.indices.tolist()) == lp_hull_vertices(z).tolist()
 
-    def test_pruning_keeps_one_per_corner_cluster(self):
-        rng = np.random.default_rng(5)
-        corners = np.array(
-            [[0.9, 0.05, 0.05], [0.05, 0.9, 0.05], [0.05, 0.05, 0.9]]
-        )
-        jitter = rng.dirichlet(np.ones(3) * 400.0, size=(3, 40))
-        cloud = np.concatenate(
-            [0.94 * jitter[i] + 0.06 * corners[i] for i in range(3)]
-        )
-        ystar = np.vstack([corners, cloud])
-        data = row_normalize(ConcentrationMatrix(ystar))
-        pruned_cfg = EstimatorConfig(K=3, prune=True, prune_clusters=3, rank_cap=2)
-        cands = extract_candidates(data, pruned_cfg)
-        assert len(cands.indices) == 3
-        hstar_pruned, _, _ = estimate_H_star(data, pruned_cfg, cands)
-        hstar_full, _, _ = estimate_H_star(data, EstimatorConfig(K=3, rank_cap=2))
-        np.testing.assert_allclose(
-            np.sort(hstar_pruned, axis=0), np.sort(hstar_full, axis=0), atol=1e-9
-        )
-
     def test_too_few_rows(self):
         data = row_normalize(ConcentrationMatrix(np.array([[1.0, 1.0, 2.0]] * 3)))
         with pytest.raises((TooFewCandidates, DegenerateCloud)):

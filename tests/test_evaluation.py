@@ -340,6 +340,8 @@ class TestConvergenceStudy:
             StudyDesign(search="fastest")
         with pytest.raises(ValueError):
             StudyDesign(K=8, J=8)
+        with pytest.raises(ValueError):
+            StudyDesign(process="iid")
 
     def test_failures_recorded_not_fatal(self):
         design = StudyDesign(
