@@ -284,15 +284,13 @@ def _cmd_estimate(args) -> int:
         fh.write("\n")
     outputs = ["phi_hat.csv", "h_star_hat.csv", "m_tilde.csv", "diagnostics.json"]
     if est.candidates is not None:
+        # %.17g prints the index and 0/1 columns as str(int) does (exact
+        # for integers below 2**53).
         cands = est.candidates
-        selected = set(est.diagnostics.subset_rows)
+        selected = np.isin(cands.indices, est.diagnostics.subset_rows)
         header = ["candidate_row"] + [f"z{i + 1}" for i in range(cands.z.shape[1])]
-        header.append("selected")
-        rows = (
-            [int(row)] + [_fmt(v) for v in z] + [1 if row in selected else 0]
-            for row, z in zip(cands.indices, cands.z)
-        )
-        _write_rows(out / "hull_scatter.csv", header, rows)
+        scatter = np.column_stack([cands.indices, cands.z, selected])
+        _write_matrix(out / "hull_scatter.csv", scatter, header + ["selected"])
         outputs.append("hull_scatter.csv")
     for warning in est.diagnostics.warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -341,8 +339,8 @@ def _metrics_csv_rows(records: list[MetricsRecord]):
 
 
 def _cmd_convergence_study(args) -> int:
-    out = _out_dir(args.out)
     design = _study_design(args)
+    out = _out_dir(args.out)
     records = convergence_study(design, workers=args.workers)
     _write_rows(
         out / "metrics.csv",
@@ -408,10 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--epsilon-clip", type=float, default=EstimatorConfig.epsilon_clip
     )
     est.add_argument("--rank-cap", type=int, default=EstimatorConfig.rank_cap)
-    est.add_argument(
-        "--exhaustive-budget", type=int, default=EstimatorConfig.exhaustive_budget
-    )
-    est.add_argument("--max-sweeps", type=int, default=EstimatorConfig.max_sweeps)
     est.add_argument(
         "--mean-method", choices=MEAN_METHODS, default=EstimatorConfig.mean_method
     )

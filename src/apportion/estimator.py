@@ -24,7 +24,6 @@ from .exceptions import (
     ApportionError,
     DroppedRowsWarning,
     EmptyData,
-    HullDimensionExceeded,
     HullFallbackWarning,
     NegativeMeanWarning,
     TooFewCandidates,
@@ -94,8 +93,6 @@ class EstimatorConfig:
     search: str = "auto"
     epsilon_clip: float = 1e-10
     rank_cap: int | None = None
-    exhaustive_budget: int = geometry.EXHAUSTIVE_BUDGET
-    max_sweeps: int = 10
     mean_method: str = "direct"
     zero_row_policy: str = "drop"
 
@@ -157,7 +154,6 @@ class CandidateSet:
     indices: np.ndarray  # (m,) row indices into the normalized data
     z: np.ndarray  # (m, r_B) projected coordinates
     basis: ProjectionBasis
-    n_hull_vertices: int
 
 
 @dataclass(frozen=True)
@@ -167,9 +163,10 @@ class Diagnostics:
     ``subset_rows`` holds the chosen profile rows as indices into the
     normalized data (the convention of ``CandidateSet.indices``), in the
     order of the rows of the profile estimate; it is empty for K = 1,
-    whose profile is the mean row.  ``n_candidates_after_prune`` keeps the
-    layout of ``diagnostics.json``: the search takes every hull vertex as
-    a candidate, so it always equals ``n_hull_vertices``.
+    whose profile is the mean row.  ``n_hull_vertices`` and
+    ``n_candidates_after_prune`` keep the layout of ``diagnostics.json``:
+    both count the candidates, every index ``geometry.hull_vertices``
+    returns (all rows above ``geometry.HULL_DIM_MAX``), and are 1 for K = 1.
     """
 
     r_b: int
@@ -234,44 +231,38 @@ def row_normalize(
 
 
 def extract_candidates(data: RowNormalizedData, cfg: EstimatorConfig) -> CandidateSet:
-    """Hull-vertex candidate rows of Y*, or every row when the hull
-    dimension is above ``geometry.HULL_DIM_MAX``."""
+    """Candidate rows of Y*: a superset of the hull vertices in projected
+    coordinates, ``geometry.hull_vertices``.  It is exact up to
+    ``geometry.HULL_DIM_MAX`` dimensions; above it every row is kept, with
+    a HullFallbackWarning."""
     n = data.ystar.shape[0]
     if n < cfg.K + 1:
         raise TooFewCandidates(f"need at least K+1={cfg.K + 1} rows, got {n}")
     basis, z = geometry.intrinsic_projection(data.ystar, cfg.effective_rank_cap())
-    try:
-        idx = geometry.hull_vertices(z)
-    except HullDimensionExceeded:
+    if basis.rank > geometry.HULL_DIM_MAX:
         warnings.warn(
             f"hull dimension {basis.rank} above cap; keeping all rows as candidates",
             HullFallbackWarning,
             stacklevel=2,
         )
-        idx = np.arange(n, dtype=np.intp)
+    idx = geometry.hull_vertices(z)
     if idx.size < cfg.K:
         raise TooFewCandidates(
             f"{idx.size} candidates for K={cfg.K}; hull has too few vertices"
         )
-    return CandidateSet(
-        ystar=data.ystar[idx],
-        indices=idx,
-        z=z[idx],
-        basis=basis,
-        n_hull_vertices=int(idx.size),
-    )
+    return CandidateSet(ystar=data.ystar[idx], indices=idx, z=z[idx], basis=basis)
 
 
 def _select_max_volume(
     z: np.ndarray, cfg: EstimatorConfig
 ) -> tuple[VertexSubset, str]:
     exhaustive = cfg.search == "exhaustive" or (
-        cfg.search == "auto" and math.comb(len(z), cfg.K) <= cfg.exhaustive_budget
+        cfg.search == "auto"
+        and math.comb(len(z), cfg.K) <= geometry.EXHAUSTIVE_BUDGET
     )
     if exhaustive:
-        subset = geometry.max_volume_exhaustive(z, cfg.K, cfg.exhaustive_budget)
-        return subset, "exhaustive"
-    return geometry.max_volume_greedy(z, cfg.K, cfg.max_sweeps), "greedy"
+        return geometry.max_volume_exhaustive(z, cfg.K), "exhaustive"
+    return geometry.max_volume_greedy(z, cfg.K), "greedy"
 
 
 def estimate_H_star(
@@ -374,7 +365,7 @@ def apportion(y: ConcentrationMatrix, cfg: EstimatorConfig) -> ApportionmentEsti
         with _stage("compute_phi"):
             phi = compute_phi(m_tilde, hstar, pollutant_names=y.pollutant_names)
 
-    n_hull = cands.n_hull_vertices if cands is not None else 1
+    n_hull = len(cands.indices) if cands is not None else 1
     diag = Diagnostics(
         r_b=cands.basis.rank if cands is not None else 0,
         n_hull_vertices=n_hull,

@@ -24,12 +24,17 @@ from .estimator import ApportionmentEstimate, EstimatorConfig, apportion
 from .exceptions import (
     ApportionError,
     DegenerateCloud,
-    HullDimensionExceeded,
     NotContainedWarning,
     ShapeMismatch,
     ZeroNormRow,
 )
-from .synthgen import PROCESSES, REPLICATE_STRIDE, RngSpec, make_ground_truth
+from .synthgen import (
+    PROCESSES,
+    REPLICATE_STRIDE,
+    RngSpec,
+    check_n_candidates,
+    make_ground_truth,
+)
 
 STUDY_SEARCHES = ("greedy", "exhaustive", "auto", "both")
 # Points per minimum-norm-point batch; each step holds a (rows, s, s) KKT
@@ -78,6 +83,10 @@ class StudyDesign:
             raise ValueError("need 1 <= K < J")
         if self.replicates < 1 or not self.n_grid:
             raise ValueError("need at least one replicate and one sample size")
+        if min(self.n_grid) < 1:
+            raise ValueError("every n_grid entry must be >= 1")
+        if self.n_candidates is not None:
+            check_n_candidates(self.K, self.n_candidates)
 
 
 def _brute_force_assignment(cost: np.ndarray) -> tuple[tuple[int, ...], float]:
@@ -168,7 +177,7 @@ def _sample_hull_points(ystar: np.ndarray) -> np.ndarray:
     try:
         _, z = geometry.intrinsic_projection(ystar, rank_cap=ystar.shape[1] - 1)
         return ystar[geometry.hull_vertices(z)]
-    except (DegenerateCloud, HullDimensionExceeded):
+    except DegenerateCloud:
         return ystar
 
 

@@ -25,10 +25,6 @@ class DegenerateCloud(ApportionError):
     """Point cloud is affinely dependent below the requested dimension."""
 
 
-class HullDimensionExceeded(ApportionError):
-    """Exact hull computation requested above the supported dimension."""
-
-
 class BudgetExceeded(ApportionError):
     """Exhaustive subset enumeration would exceed the configured budget."""
 

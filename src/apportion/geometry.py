@@ -32,12 +32,14 @@ from .exceptions import (
     AllDegenerate,
     BudgetExceeded,
     DegenerateCloud,
-    HullDimensionExceeded,
     RankDeficientWarning,
 )
 
 HULL_DIM_MAX = 8
+# Search limits, read at call time: above EXHAUSTIVE_BUDGET subsets the
+# exhaustive search raises and ``auto`` picks greedy.
 EXHAUSTIVE_BUDGET = 2_000_000
+MAX_SWEEPS = 10
 SWAP_GAIN_TOL = 1e-12
 
 # Gram determinants at or below this are treated as degenerate simplices.
@@ -146,16 +148,17 @@ def _affine_rank(z: np.ndarray) -> int:
 
 
 def hull_vertices(z: np.ndarray) -> np.ndarray:
-    """Sorted indices of the extreme points of the cloud's convex hull.
+    """Sorted indices of a superset of the cloud's convex-hull vertices.
 
-    1-D clouds reduce to argmin/argmax; 2 up to ``HULL_DIM_MAX`` dimensions
-    use qhull with one jittered retry on degenerate facet errors.  Points
-    lying inside facets or edges are not vertices.  Of exact duplicate
-    vertex rows at least one is returned; which one is not specified.
+    Up to ``HULL_DIM_MAX`` dimensions the set is exact: 1-D clouds reduce
+    to argmin/argmax, 2 and more dimensions use qhull with one jittered
+    retry on degenerate facet errors.  Points lying inside facets or
+    edges are not vertices.  Of exact duplicate vertex rows at least one
+    is returned; which one is not specified.  Above ``HULL_DIM_MAX``,
+    where qhull's cost explodes, every index is returned.
 
-    Raises DegenerateCloud when the points span fewer than d dimensions
-    (reduce the projection rank instead), HullDimensionExceeded above
-    ``HULL_DIM_MAX`` (callers fall back to using every point).
+    Raises DegenerateCloud, up to the cap, when the points span fewer than
+    d dimensions (reduce the projection rank instead).
     """
     z = np.asarray(z, dtype=float)
     if z.ndim != 2:
@@ -164,7 +167,7 @@ def hull_vertices(z: np.ndarray) -> np.ndarray:
     if d < 1:
         raise ValueError("dimension must be >= 1")
     if d > HULL_DIM_MAX:
-        raise HullDimensionExceeded(f"hull in {d} dims exceeds cap {HULL_DIM_MAX}")
+        return np.arange(n, dtype=np.intp)
     if n < d + 1:
         raise DegenerateCloud(f"{n} points cannot span a {d}-dimensional hull")
     if _affine_rank(z) < d:
@@ -209,11 +212,7 @@ def simplex_log_volume(vertices: np.ndarray) -> float:
         raise ValueError("need at least two vertices")
     if d < k - 1:
         raise ValueError(f"{k} points need ambient dimension >= {k - 1}")
-    edges = v[1:] - v[0]
-    sign, logdet = np.linalg.slogdet(edges @ edges.T)
-    if sign <= 0 or logdet <= _LOG_DET_FLOOR:
-        return -math.inf
-    return float(0.5 * logdet - math.lgamma(k))
+    return float(_batch_log_volumes(v, np.arange(k)[None])[0])
 
 
 def _anchor_reach(cols: list[np.ndarray], k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -306,9 +305,7 @@ def _branch_and_bound(
     return best, best_lv
 
 
-def max_volume_exhaustive(
-    candidates: np.ndarray, k: int, budget: int = EXHAUSTIVE_BUDGET
-) -> VertexSubset:
+def max_volume_exhaustive(candidates: np.ndarray, k: int) -> VertexSubset:
     """Globally best K-subset by simplex volume, by exhaustive branch and bound.
 
     The seed is the exact score of the greedy search's subset (-inf when
@@ -322,7 +319,8 @@ def max_volume_exhaustive(
     strictly below that threshold, which some scored or seed subset
     reaches, so the first maximum survives: the result, including the
     smallest-index-tuple tie-break, is bitwise that of scoring every
-    subset exactly.
+    subset exactly.  Raises BudgetExceeded when C(m, K) is above
+    ``EXHAUSTIVE_BUDGET``.
     """
     pts = np.asarray(candidates, dtype=float)
     m = pts.shape[0]
@@ -331,8 +329,8 @@ def max_volume_exhaustive(
     if m < k:
         raise ValueError(f"need at least {k} candidates, got {m}")
     total = math.comb(m, k)
-    if total > budget:
-        raise BudgetExceeded(f"{total} subsets exceed budget {budget}")
+    if total > EXHAUSTIVE_BUDGET:
+        raise BudgetExceeded(f"{total} subsets exceed budget {EXHAUSTIVE_BUDGET}")
 
     try:
         seed_rows = np.asarray([sorted(max_volume_greedy(pts, k).indices)], dtype=np.intp)
@@ -357,17 +355,16 @@ def _atgp_indices(pts: np.ndarray, k: int) -> list[int]:
     return chosen
 
 
-def max_volume_greedy(
-    candidates: np.ndarray, k: int, max_sweeps: int = 10
-) -> VertexSubset:
+def max_volume_greedy(candidates: np.ndarray, k: int) -> VertexSubset:
     """Approximate max-volume K-subset: ATGP start, then swap sweeps.
 
     Each sweep tries replacing one vertex at a time by every candidate and
     accepts a swap only when the log-volume strictly improves by more than
-    SWAP_GAIN_TOL; terminates after a sweep with no accepted swap.  The
-    reported log-volume is scored with the indices in sorted order, as the
-    exhaustive search scores them, so both report bitwise the same value
-    for the same subset; the indices keep their search order.
+    SWAP_GAIN_TOL; terminates after a sweep with no accepted swap or after
+    ``MAX_SWEEPS`` sweeps.  The reported log-volume is scored with the
+    indices in sorted order, as the exhaustive search scores them, so both
+    report bitwise the same value for the same subset; the indices keep
+    their search order.
     """
     pts = np.asarray(candidates, dtype=float)
     m = pts.shape[0]
@@ -379,7 +376,7 @@ def max_volume_greedy(
         return VertexSubset((current[0],), 0.0)
     current_lv = float(_batch_log_volumes(pts, np.asarray([current]))[0])
     all_idx = np.arange(m, dtype=np.intp)
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         accepted = False
         for slot in range(k):
             combos = np.tile(np.asarray(current, dtype=np.intp), (m, 1))

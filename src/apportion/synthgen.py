@@ -17,12 +17,7 @@ import numpy as np
 
 from . import geometry
 from .estimator import AttributionMatrix, ConcentrationMatrix
-from .exceptions import (
-    DegenerateCloud,
-    GenerationFailed,
-    HullDimensionExceeded,
-    ZeroDenominator,
-)
+from .exceptions import DegenerateCloud, GenerationFailed, ZeroDenominator
 
 REPLICATE_STRIDE = 1 << 16
 PROFILE_STREAM = 1 << 15
@@ -156,13 +151,20 @@ def _cliques(adj: list[int], cand: int, k: int):
             yield (v,) + tail
 
 
+def check_n_candidates(K: int, n_candidates: int) -> None:
+    """The profile generator's rule: at least 10 candidate draws per source."""
+    if n_candidates < 10 * K:
+        raise ValueError("n_candidates must be at least 10*K")
+
+
 def generate_profile_matrix(
     J: int, K: int, n_candidates: int, rng: RngSpec
 ) -> np.ndarray:
     """Row-stochastic K x J profile matrix with well-separated rows.
 
     Draws iid Exp(1) candidate vectors, normalizes them onto the simplex,
-    finds the hull vertices in projected coordinates, and keeps the K
+    finds the hull vertices in projected coordinates (every candidate
+    above ``geometry.HULL_DIM_MAX`` dimensions), and keeps the K
     vertices maximizing the pairwise minimum distance, by an exact
     threshold and first-clique search (lexicographic ties; exponential
     only on tied distances).  Redraws, up to 100 times, on fewer than K
@@ -171,8 +173,7 @@ def generate_profile_matrix(
     """
     if not 1 <= K <= J:
         raise ValueError("need 1 <= K <= J")
-    if n_candidates < 10 * K:
-        raise ValueError("n_candidates must be at least 10*K")
+    check_n_candidates(K, n_candidates)
     gen = rng.generator()
     for _ in range(100):
         cand = gen.standard_exponential((n_candidates, J))
@@ -183,8 +184,6 @@ def generate_profile_matrix(
             continue
         try:
             verts = geometry.hull_vertices(z)
-        except HullDimensionExceeded:
-            verts = np.arange(n_candidates, dtype=np.intp)
         except DegenerateCloud:
             continue
         if verts.size < K:

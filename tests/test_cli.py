@@ -227,6 +227,21 @@ def reference_matrix_bytes(path, matrix, names):
     return path.read_bytes()
 
 
+def reference_scatter_bytes(path, est):
+    """hull_scatter.csv written cell by cell through csv.writer, with
+    candidate rows and 0/1 flags as ints and coordinates as %.17g."""
+    cands, selected = est.candidates, set(est.diagnostics.subset_rows)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        z_names = [f"z{i + 1}" for i in range(cands.z.shape[1])]
+        writer.writerow(["candidate_row"] + z_names + ["selected"])
+        writer.writerows(
+            [int(row)] + ["%.17g" % v for v in z] + [1 if row in selected else 0]
+            for row, z in zip(cands.indices, cands.z)
+        )
+    return path.read_bytes()
+
+
 BLOCK = cli._WRITE_BLOCK_ROWS
 
 
@@ -326,6 +341,9 @@ class TestEstimateCommand:
         scatter = read_csv(est / "hull_scatter.csv")[1:]
         marked = [int(r[0]) for r in scatter if r[-1] == "1"]
         assert marked == sorted(diag["subset_rows"])
+        result = apportion(load_concentrations(path), EstimatorConfig(K=3, rank_cap=10))
+        expected = reference_scatter_bytes(tmp_path / "ref.csv", result)
+        assert (est / "hull_scatter.csv").read_bytes() == expected
 
     def test_missing_input_is_nonzero_exit(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as err:
@@ -510,6 +528,21 @@ class TestConvergenceStudyCommand:
         ) == 0
         rows = read_csv(out / "metrics.csv")
         assert len(rows) - 1 == 2 * 50
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--n-grid", "200,0"], ["--n-candidates", "5", "--K", "3"]],
+    )
+    def test_bad_design_fails_before_any_task(self, tmp_path, capsys, monkeypatch, flags):
+        def no_study(*args, **kwargs):
+            raise AssertionError("the study ran")
+
+        monkeypatch.setattr(cli, "convergence_study", no_study)
+        out = tmp_path / "study"
+        assert main(["convergence-study", *flags, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("ValueError: ")
+        assert not out.exists()
 
     def test_workers_env_default(self, monkeypatch):
         from apportion.cli import WORKERS_ENV, build_parser

@@ -1,4 +1,5 @@
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import aligned_estimate, lp_hull_vertices, random_row_stochastic
 
+from apportion import geometry
 from apportion.estimator import (
     ConcentrationMatrix,
     EstimatorConfig,
@@ -19,6 +21,7 @@ from apportion.estimator import (
     row_normalize,
 )
 from apportion.exceptions import (
+    BudgetExceeded,
     DegenerateCloud,
     DroppedRowsWarning,
     HullFallbackWarning,
@@ -85,7 +88,7 @@ class TestExtractCandidates:
         data = row_normalize(y)
         cfg = EstimatorConfig(K=3)
         cands = extract_candidates(data, cfg)
-        assert cands.n_hull_vertices >= 3
+        assert len(cands.indices) >= 3
         from apportion.geometry import intrinsic_projection
 
         _, z = intrinsic_projection(data.ystar, cfg.effective_rank_cap())
@@ -103,8 +106,7 @@ class TestExtractCandidates:
         cfg = EstimatorConfig(K=10, rank_cap=9)
         with pytest.warns(HullFallbackWarning):
             cands = extract_candidates(data, cfg)
-        assert len(cands.indices) == 40
-        assert cands.n_hull_vertices == 40
+        assert cands.indices.tolist() == list(range(40))
         assert cands.basis.rank == 9
 
 
@@ -138,6 +140,16 @@ class TestEstimateHStar:
         assert (used_g, used_e) == ("greedy", "exhaustive")
         same_subset = sorted(sub_g.indices) == sorted(sub_e.indices)
         assert same_subset or sub_e.log_volume - sub_g.log_volume <= 1e-9
+
+    def test_auto_reads_budget_at_call_time(self, monkeypatch):
+        y, _ = make_ground_truth(100, 8, 3, "ar1", RngSpec(41))
+        m = apportion(y, EstimatorConfig(K=3)).diagnostics.n_hull_vertices
+        monkeypatch.setattr(geometry, "EXHAUSTIVE_BUDGET", math.comb(m, 3))
+        assert apportion(y, EstimatorConfig(K=3)).diagnostics.search_used == "exhaustive"
+        monkeypatch.setattr(geometry, "EXHAUSTIVE_BUDGET", math.comb(m, 3) - 1)
+        assert apportion(y, EstimatorConfig(K=3)).diagnostics.search_used == "greedy"
+        with pytest.raises(BudgetExceeded, match=r"^\[estimate_H_star\] "):
+            apportion(y, EstimatorConfig(K=3, search="exhaustive"))
 
 
 class TestEstimateMuTilde:

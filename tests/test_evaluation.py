@@ -342,6 +342,12 @@ class TestConvergenceStudy:
             StudyDesign(K=8, J=8)
         with pytest.raises(ValueError):
             StudyDesign(process="iid")
+        # What the generator would reject, before any task runs.
+        with pytest.raises(ValueError, match="n_grid entry"):
+            StudyDesign(n_grid=(200, 0))
+        with pytest.raises(ValueError, match=r"at least 10\*K"):
+            StudyDesign(K=3, n_candidates=29)
+        StudyDesign(K=3, n_candidates=30, n_grid=(1,))
 
     def test_failures_recorded_not_fatal(self):
         design = StudyDesign(

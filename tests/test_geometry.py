@@ -14,7 +14,6 @@ from apportion.exceptions import (
     AllDegenerate,
     BudgetExceeded,
     DegenerateCloud,
-    HullDimensionExceeded,
     RankDeficientWarning,
 )
 from apportion.geometry import (
@@ -126,9 +125,10 @@ class TestHullVertices:
             hull_vertices(z)
 
     def test_dimension_cap(self):
+        # Above the cap every index is returned, a superset of the vertices.
         rng = np.random.default_rng(0)
-        with pytest.raises(HullDimensionExceeded):
-            hull_vertices(rng.normal(size=(40, 9)))
+        z = rng.normal(size=(40, geometry.HULL_DIM_MAX + 1))
+        assert hull_vertices(z).tolist() == list(range(40))
 
     @pytest.mark.parametrize("dim,n", [(2, 120), (3, 60)])
     def test_matches_lp_membership_oracle(self, dim, n):
@@ -281,8 +281,9 @@ class TestMaxVolumeExhaustive:
 
     def test_budget_exceeded(self):
         rng = np.random.default_rng(0)
+        assert math.comb(240, 3) > geometry.EXHAUSTIVE_BUDGET
         with pytest.raises(BudgetExceeded):
-            max_volume_exhaustive(rng.normal(size=(30, 2)), 3, budget=100)
+            max_volume_exhaustive(rng.normal(size=(240, 2)), 3)
 
     def test_all_degenerate(self):
         pts = np.column_stack([np.arange(5.0), np.arange(5.0)])
@@ -497,6 +498,14 @@ class TestMaxVolumeGreedy:
         pts = np.ones((6, 2))
         with pytest.raises(AllDegenerate):
             max_volume_greedy(pts, 3)
+
+    def test_sweep_cap_read_at_call_time(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        pts = rng.normal(size=(40, 3))
+        start = tuple(geometry._atgp_indices(pts, 4))
+        assert max_volume_greedy(pts, 4).indices != start
+        monkeypatch.setattr(geometry, "MAX_SWEEPS", 0)
+        assert max_volume_greedy(pts, 4).indices == start
 
     def test_collinear_swap_keeps_indices_distinct(self):
         # A swap onto an index already in the subset scores a rounded
