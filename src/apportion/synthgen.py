@@ -122,8 +122,13 @@ def _maximin_subset(points: np.ndarray, k: int) -> tuple[int, ...]:
     m = len(points)
     if not 1 <= k <= m:
         raise ValueError(f"need 1 <= k <= m, got k={k}, m={m}")
-    diff = points[:, None, :] - points[None, :, :]
-    dist2 = (diff**2).sum(axis=2)
+    # (rows, m, d) differences a block of rows at a time, not all (m, m, d);
+    # every entry is the same sum over d, whatever the block size.
+    dist2 = np.empty((m, m))
+    step = max(1, 4096 // m)
+    for i in range(0, m, step):
+        diff = points[i : i + step, None, :] - points[None, :, :]
+        dist2[i : i + step] = (diff**2).sum(axis=2)
     values = np.unique(dist2)
 
     def first_clique(t: float) -> tuple[int, ...] | None:
@@ -163,13 +168,12 @@ def generate_profile_matrix(
     """Row-stochastic K x J profile matrix with well-separated rows.
 
     Draws iid Exp(1) candidate vectors, normalizes them onto the simplex,
-    finds the hull vertices in projected coordinates (every candidate
-    above ``geometry.HULL_DIM_MAX`` dimensions), and keeps the K
-    vertices maximizing the pairwise minimum distance, by an exact
-    threshold and first-clique search (lexicographic ties; exponential
-    only on tied distances).  Redraws, up to 100 times, on fewer than K
-    vertices or rank-deficient rows.  K = J is allowed (distinct simplex
-    points are linearly independent); estimation itself needs K < J.
+    and keeps the K of them maximizing the pairwise minimum distance in
+    projected coordinates, by an exact threshold and first-clique search
+    over every draw (lexicographic ties; exponential only on tied
+    distances).  Redraws, up to 100 times, on a degenerate cloud or
+    rank-deficient rows.  K = J is allowed (distinct simplex points are
+    linearly independent); estimation itself needs K < J.
     """
     if not 1 <= K <= J:
         raise ValueError("need 1 <= K <= J")
@@ -182,14 +186,7 @@ def generate_profile_matrix(
             _, z = geometry.intrinsic_projection(cand, rank_cap=J - 1)
         except DegenerateCloud:
             continue
-        try:
-            verts = geometry.hull_vertices(z)
-        except DegenerateCloud:
-            continue
-        if verts.size < K:
-            continue
-        pick = _maximin_subset(z[verts], K)
-        h = cand[verts[list(pick)]]
+        h = cand[list(_maximin_subset(z, K))]
         sing = np.linalg.svd(h, compute_uv=False)
         if sing[-1] > 1e-10 * sing[0]:
             return h

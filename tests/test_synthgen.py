@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
+from apportion import geometry
 from apportion.synthgen import (
     LogAR1Params,
     LognormalMixtureParams,
@@ -63,17 +64,58 @@ class TestProfileMatrix:
 
 
     @pytest.mark.parametrize(
-        "seed,digest",
+        "J,K,seed,digest",
         [
-            (0, "f6788f1b0afffb70b20f133f5fe29f4ced972993931a16b0adc265f9666af624"),
-            (1, "e28667a2e4d182a6f92c0838cead496d4d4c5d5901af8b1e1501047094585f30"),
-            (2, "74116691cf1b2a38044ef0e79f41fa02bf7081d4fe6ea8ffd72732c813a570f4"),
+            (8, 4, 0, "f6788f1b0afffb70b20f133f5fe29f4ced972993931a16b0adc265f9666af624"),
+            (8, 4, 1, "e28667a2e4d182a6f92c0838cead496d4d4c5d5901af8b1e1501047094585f30"),
+            (8, 4, 2, "74116691cf1b2a38044ef0e79f41fa02bf7081d4fe6ea8ffd72732c813a570f4"),
+            # The (J, K) of `apportion simulate`.
+            (8, 3, 0, "11b4181a7bdd3066477a4cc86cdc0637ba6b60b09b5af4cd2362f203bd9c74e7"),
+            (8, 3, 1, "f3c6487cfd2f30cc1623067f7ef22c2ed2f297353e177d7b348b19c63587e863"),
+            (8, 3, 2, "f44fdb5413546126f97b736117c47d99d0408c3c57ad4a463c2c61b745ab1e3e"),
         ],
     )
-    def test_bytes_pinned(self, seed, digest):
-        # Digests of the output of a plain itertools maximin enumeration.
-        h = generate_profile_matrix(8, 4, 40, RngSpec(seed))
+    def test_bytes_pinned(self, J, K, seed, digest):
+        # Digests of the output of a plain itertools maximin enumeration
+        # over the hull vertices of the 10 * K draws.
+        h = generate_profile_matrix(J, K, 10 * K, RngSpec(seed))
         assert hashlib.sha256(h.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("J,K,n_candidates", [(8, 4, 40), (20, 8, 80)])
+    def test_runs_no_hull(self, monkeypatch, J, K, n_candidates):
+        def no_hull(*args, **kwargs):
+            raise AssertionError("the profile generator must not build a hull")
+
+        monkeypatch.setattr(geometry, "hull_vertices", no_hull)
+        h = generate_profile_matrix(J, K, n_candidates, RngSpec(0))
+        assert h.shape == (K, J)
+
+    @pytest.mark.parametrize("J", [2, 5, 8])
+    def test_square_is_full_rank_and_row_stochastic(self, J):
+        h = generate_profile_matrix(J, J, 10 * J, RngSpec(4))
+        assert h.shape == (J, J)
+        assert h.min() >= 0
+        np.testing.assert_allclose(h.sum(axis=1), 1.0, atol=1e-12)
+        assert np.linalg.matrix_rank(h) == J
+
+    @pytest.mark.parametrize("J,K,n_candidates", [(8, 3, 30), (8, 4, 40), (9, 4, 40)])
+    def test_pick_over_all_draws_equals_pick_over_hull_vertices(
+        self, J, K, n_candidates
+    ):
+        # For K < J the maximin K-subset of these draws always lies on
+        # their hull, and both picks break ties by index order, so skipping
+        # the hull changes no output.  The hull is an oracle here only.
+        for seed in range(30):
+            gen = RngSpec(seed).generator()
+            cand = gen.standard_exponential((n_candidates, J))
+            cand /= cand.sum(axis=1, keepdims=True)
+            _, z = geometry.intrinsic_projection(cand, rank_cap=J - 1)
+            verts = geometry.hull_vertices(z)
+            over_hull = tuple(verts[list(_maximin_subset(z[verts], K))])
+            pick = _maximin_subset(z, K)
+            assert pick == over_hull, seed
+            h = generate_profile_matrix(J, K, n_candidates, RngSpec(seed))
+            np.testing.assert_array_equal(h, cand[list(pick)])
 
 
 @st.composite
@@ -121,6 +163,23 @@ class TestMaximinSubset:
         start = time.perf_counter()
         assert _maximin_subset(points, k) == expected
         assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("m", [40, 103, 700])
+    def test_distances_bitwise_equal_unblocked(self, monkeypatch, m):
+        # The squared distances are built a block of rows at a time; each
+        # entry must be the bits of the all-pairs expression.
+        seen = []
+        unique = np.unique
+
+        def spy(values, *args, **kwargs):
+            seen.append(values.copy())
+            return unique(values, *args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", spy)
+        points = np.random.default_rng(m).normal(size=(m, 7))
+        _maximin_subset(points, 2)
+        diff = points[:, None, :] - points[None, :, :]
+        assert seen[0].tobytes() == (diff**2).sum(axis=2).tobytes()
 
     def test_rejects_k_above_point_count(self):
         with pytest.raises(ValueError):
