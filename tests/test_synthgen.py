@@ -64,21 +64,30 @@ class TestProfileMatrix:
 
 
     @pytest.mark.parametrize(
-        "J,K,seed,digest",
+        "seed,digest",
         [
-            (8, 4, 0, "f6788f1b0afffb70b20f133f5fe29f4ced972993931a16b0adc265f9666af624"),
-            (8, 4, 1, "e28667a2e4d182a6f92c0838cead496d4d4c5d5901af8b1e1501047094585f30"),
-            (8, 4, 2, "74116691cf1b2a38044ef0e79f41fa02bf7081d4fe6ea8ffd72732c813a570f4"),
-            # The (J, K) of `apportion simulate`.
-            (8, 3, 0, "11b4181a7bdd3066477a4cc86cdc0637ba6b60b09b5af4cd2362f203bd9c74e7"),
-            (8, 3, 1, "f3c6487cfd2f30cc1623067f7ef22c2ed2f297353e177d7b348b19c63587e863"),
-            (8, 3, 2, "f44fdb5413546126f97b736117c47d99d0408c3c57ad4a463c2c61b745ab1e3e"),
+            (0, "f6788f1b0afffb70b20f133f5fe29f4ced972993931a16b0adc265f9666af624"),
+            (1, "e28667a2e4d182a6f92c0838cead496d4d4c5d5901af8b1e1501047094585f30"),
+            (2, "74116691cf1b2a38044ef0e79f41fa02bf7081d4fe6ea8ffd72732c813a570f4"),
         ],
     )
-    def test_bytes_pinned(self, J, K, seed, digest):
+    def test_bytes_pinned(self, seed, digest):
         # Digests of the output of a plain itertools maximin enumeration
-        # over the hull vertices of the 10 * K draws.
-        h = generate_profile_matrix(J, K, 10 * K, RngSpec(seed))
+        # over the hull vertices of the 40 draws.
+        h = generate_profile_matrix(8, 4, 40, RngSpec(seed))
+        assert hashlib.sha256(h.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "seed,digest",
+        [
+            (0, "11b4181a7bdd3066477a4cc86cdc0637ba6b60b09b5af4cd2362f203bd9c74e7"),
+            (1, "f3c6487cfd2f30cc1623067f7ef22c2ed2f297353e177d7b348b19c63587e863"),
+            (2, "f44fdb5413546126f97b736117c47d99d0408c3c57ad4a463c2c61b745ab1e3e"),
+        ],
+    )
+    def test_bytes_pinned_simulate_shape(self, seed, digest):
+        # The (J, K) = (8, 3) of `apportion simulate`, same reference.
+        h = generate_profile_matrix(8, 3, 30, RngSpec(seed))
         assert hashlib.sha256(h.tobytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("J,K,n_candidates", [(8, 4, 40), (20, 8, 80)])
