@@ -88,20 +88,18 @@ def _write_labeled_matrix(path: Path, matrix: np.ndarray, labels, names) -> None
 
 
 def _read_labeled_matrix(path: Path):
-    """A ``source,<names>`` CSV as (labels, names, values), read by the
-    cell-wise parser's row and cell rules (any finite value is allowed)."""
+    """The values of a ``source,<names>`` CSV, read by the cell-wise
+    parser's row and cell rules (any finite value is allowed)."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise ParseError(1, 1, "empty file")
-        labels, rows = [], []
-        for line_no, row in _data_rows(reader, len(header)):
-            labels.append(row[0])
-            rows.append(
-                [_number(c, line_no, col) for col, c in enumerate(row[1:], start=2)]
-            )
-    return labels, header[1:], np.asarray(rows)
+        rows = [
+            [_number(c, line_no, col) for col, c in enumerate(row[1:], start=2)]
+            for line_no, row in _data_rows(reader, len(header))
+        ]
+    return np.asarray(rows)
 
 
 def _data_rows(reader, width: int):
@@ -301,8 +299,8 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     out = _out_dir(args.out)
-    _, _, phi_hat = _read_labeled_matrix(args.phi_hat)
-    _, _, phi_true = _read_labeled_matrix(args.phi_true)
+    phi_hat = _read_labeled_matrix(args.phi_hat)
+    phi_true = _read_labeled_matrix(args.phi_true)
     alignment = align_rows(phi_true, phi_hat)
     aligned = phi_hat[list(alignment.permutation)]
     metrics = {

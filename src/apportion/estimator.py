@@ -12,7 +12,6 @@ randomness and breaks all ties by smallest index.
 
 from __future__ import annotations
 
-import math
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -22,9 +21,8 @@ import numpy as np
 from . import geometry
 from .exceptions import (
     ApportionError,
+    BudgetExceeded,
     DroppedRowsWarning,
-    EmptyData,
-    HullFallbackWarning,
     NegativeMeanWarning,
     TooFewCandidates,
     ZeroDenominator,
@@ -166,7 +164,7 @@ class Diagnostics:
     whose profile is the mean row.  ``n_hull_vertices`` and
     ``n_candidates_after_prune`` keep the layout of ``diagnostics.json``:
     both count the candidates, every index ``geometry.hull_vertices``
-    returns (all rows above ``geometry.HULL_DIM_MAX``), and are 1 for K = 1.
+    returns, and are 1 for K = 1.
     """
 
     r_b: int
@@ -205,7 +203,8 @@ def row_normalize(
     """Split Y into row sums r and the row-stochastic matrix Y*.
 
     Rows with zero sum are dropped (with a warning) or raise ZeroRow
-    depending on the policy; an all-zero matrix raises EmptyData.
+    depending on the policy.  Some row always remains: ConcentrationMatrix
+    requires a positive entry in every column.
     """
     if zero_row_policy not in ZERO_ROW_POLICIES:
         raise ValueError(f"zero_row_policy must be one of {ZERO_ROW_POLICIES}")
@@ -221,8 +220,6 @@ def row_normalize(
             stacklevel=2,
         )
     kept = np.flatnonzero(~zero)
-    if kept.size == 0:
-        raise EmptyData("all rows sum to zero")
     return RowNormalizedData(
         ystar=vals[kept] / sums[kept, None],
         row_sums=sums[kept],
@@ -231,20 +228,13 @@ def row_normalize(
 
 
 def extract_candidates(data: RowNormalizedData, cfg: EstimatorConfig) -> CandidateSet:
-    """Candidate rows of Y*: a superset of the hull vertices in projected
-    coordinates, ``geometry.hull_vertices``.  It is exact up to
-    ``geometry.HULL_DIM_MAX`` dimensions; above it every row is kept, with
-    a HullFallbackWarning."""
+    """Candidate rows of Y*: ``geometry.hull_vertices`` of the projected
+    rows, a superset of their hull vertices.  Where that keeps every row,
+    it issues the HullFallbackWarning itself."""
     n = data.ystar.shape[0]
     if n < cfg.K + 1:
         raise TooFewCandidates(f"need at least K+1={cfg.K + 1} rows, got {n}")
     basis, z = geometry.intrinsic_projection(data.ystar, cfg.effective_rank_cap())
-    if basis.rank > geometry.HULL_DIM_MAX:
-        warnings.warn(
-            f"hull dimension {basis.rank} above cap; keeping all rows as candidates",
-            HullFallbackWarning,
-            stacklevel=2,
-        )
     idx = geometry.hull_vertices(z)
     if idx.size < cfg.K:
         raise TooFewCandidates(
@@ -256,12 +246,12 @@ def extract_candidates(data: RowNormalizedData, cfg: EstimatorConfig) -> Candida
 def _select_max_volume(
     z: np.ndarray, cfg: EstimatorConfig
 ) -> tuple[VertexSubset, str]:
-    exhaustive = cfg.search == "exhaustive" or (
-        cfg.search == "auto"
-        and math.comb(len(z), cfg.K) <= geometry.EXHAUSTIVE_BUDGET
-    )
-    if exhaustive:
-        return geometry.max_volume_exhaustive(z, cfg.K), "exhaustive"
+    if cfg.search != "greedy":
+        try:
+            return geometry.max_volume_exhaustive(z, cfg.K), "exhaustive"
+        except BudgetExceeded:
+            if cfg.search == "exhaustive":
+                raise
     return geometry.max_volume_greedy(z, cfg.K), "greedy"
 
 

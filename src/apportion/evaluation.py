@@ -270,6 +270,10 @@ def hausdorff_to_polytope(
     Warns NotContainedWarning when sample rows leave conv(hstar) by more
     than 1e-8 (the sample hull is contained in conv(hstar) for noiseless
     data, which is what makes the directed distance the Hausdorff one).
+    The sample hull is spanned by ``geometry.hull_vertices`` of the rows;
+    where that keeps every row (more than ``geometry.HULL_DIM_MAX``
+    intrinsic dimensions, or a hull qhull cannot build) it warns
+    HullFallbackWarning, and the polytope, so the distance, is the same.
     Raises ValueError for empty or non-finite inputs, rows off the
     simplex, or ``grid_subdivisions < 1``.
     """

@@ -37,10 +37,6 @@ class ZeroRow(ApportionError):
     """A data row sums to zero under the 'error' zero-row policy."""
 
 
-class EmptyData(ApportionError):
-    """No usable rows remain after filtering."""
-
-
 class TooFewCandidates(ApportionError):
     """Fewer hull candidates than requested sources."""
 
@@ -110,4 +106,5 @@ class DroppedRowsWarning(ApportionWarning):
 
 
 class HullFallbackWarning(ApportionWarning):
-    """Hull dimension above cap; all rows kept as vertex candidates."""
+    """Every row kept as a hull-vertex candidate: the hull dimension is
+    above the cap, or qhull could not build the hull."""

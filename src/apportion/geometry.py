@@ -32,6 +32,7 @@ from .exceptions import (
     AllDegenerate,
     BudgetExceeded,
     DegenerateCloud,
+    HullFallbackWarning,
     RankDeficientWarning,
 )
 
@@ -130,8 +131,7 @@ def intrinsic_projection(
     mean_offset = reduced.mean(axis=0)
     centered = reduced - mean_offset
     _, sing, vt = np.linalg.svd(centered, full_matrices=False)
-    tol = n * np.finfo(float).eps * (sing[0] if sing.size else 0.0)
-    detected = int(np.count_nonzero(sing > tol))
+    detected = _numerical_rank(sing, n)
     if detected == 0:
         raise DegenerateCloud("all rows identical: centered cloud has rank 0")
     rank = min(rank_cap, detected)
@@ -139,23 +139,27 @@ def intrinsic_projection(
     return ProjectionBasis(mean_offset, basis, rank), centered @ basis
 
 
-def _affine_rank(z: np.ndarray) -> int:
-    centered = z - z.mean(axis=0)
-    sing = np.linalg.svd(centered, compute_uv=False)
-    if sing.size == 0 or sing[0] == 0.0:
+def _numerical_rank(sing: np.ndarray, n: int) -> int:
+    """Count of the descending singular values above n * eps * sigma_1."""
+    if sing.size == 0:
         return 0
-    return int(np.count_nonzero(sing > len(z) * np.finfo(float).eps * sing[0]))
+    return int(np.count_nonzero(sing > n * np.finfo(float).eps * sing[0]))
+
+
+def _affine_rank(z: np.ndarray) -> int:
+    return _numerical_rank(np.linalg.svd(z - z.mean(axis=0), compute_uv=False), len(z))
 
 
 def hull_vertices(z: np.ndarray) -> np.ndarray:
     """Sorted indices of a superset of the cloud's convex-hull vertices.
 
     Up to ``HULL_DIM_MAX`` dimensions the set is exact: 1-D clouds reduce
-    to argmin/argmax, 2 and more dimensions use qhull with one jittered
-    retry on degenerate facet errors.  Points lying inside facets or
-    edges are not vertices.  Of exact duplicate vertex rows at least one
-    is returned; which one is not specified.  Above ``HULL_DIM_MAX``,
-    where qhull's cost explodes, every index is returned.
+    to argmin/argmax, 2 and more dimensions use qhull.  Points lying
+    inside facets or edges are not vertices.  Of exact duplicate vertex
+    rows at least one is returned; which one is not specified.  Above
+    ``HULL_DIM_MAX``, where qhull's cost explodes, and wherever qhull
+    cannot build the hull of a cloud of full affine rank (a cloud thin
+    along some axis), every index is returned with a HullFallbackWarning.
 
     Raises DegenerateCloud, up to the cap, when the points span fewer than
     d dimensions (reduce the projection rank instead).
@@ -167,23 +171,23 @@ def hull_vertices(z: np.ndarray) -> np.ndarray:
     if d < 1:
         raise ValueError("dimension must be >= 1")
     if d > HULL_DIM_MAX:
-        return np.arange(n, dtype=np.intp)
-    if n < d + 1:
-        raise DegenerateCloud(f"{n} points cannot span a {d}-dimensional hull")
-    if _affine_rank(z) < d:
-        raise DegenerateCloud(f"points are affinely dependent below dimension {d}")
-
-    if d == 1:
-        return np.unique([int(np.argmin(z[:, 0])), int(np.argmax(z[:, 0]))])
-    try:
-        return np.unique(ConvexHull(z).vertices)
-    except QhullError:
-        scale = float(np.abs(z).max())
-        jitter = np.random.default_rng(0).standard_normal(z.shape)
+        reason = f"hull dimension {d} above cap"
+    else:
+        if n < d + 1:
+            raise DegenerateCloud(f"{n} points cannot span a {d}-dimensional hull")
+        if _affine_rank(z) < d:
+            raise DegenerateCloud(f"points are affinely dependent below dimension {d}")
+        if d == 1:
+            return np.unique([int(np.argmin(z[:, 0])), int(np.argmax(z[:, 0]))])
         try:
-            return np.unique(ConvexHull(z + 1e-12 * scale * jitter).vertices)
-        except QhullError as exc:
-            raise DegenerateCloud(f"hull construction failed: {exc}") from exc
+            return np.unique(ConvexHull(z).vertices)
+        except QhullError:
+            # Fixed text: qhull's own report varies across scipy versions.
+            reason = "qhull could not build the hull"
+    warnings.warn(
+        f"{reason}; keeping all rows as candidates", HullFallbackWarning, stacklevel=2
+    )
+    return np.arange(n, dtype=np.intp)
 
 
 def _batch_log_volumes(points: np.ndarray, combos: np.ndarray) -> np.ndarray:

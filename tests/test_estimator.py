@@ -296,6 +296,15 @@ class TestApportion:
         np.testing.assert_array_equal(a.phi_hat.values, b.phi_hat.values)
         assert a.diagnostics == b.diagnostics
 
+    def test_above_cap_warning_in_diagnostics(self):
+        rng = np.random.default_rng(72)
+        y, _, _ = separable_data(rng, n=40, j=12, k=10)
+        diag = apportion(y, EstimatorConfig(K=10)).diagnostics
+        assert diag.warnings == (
+            "hull dimension 9 above cap; keeping all rows as candidates",
+        )
+        assert (diag.r_b, diag.n_hull_vertices, diag.search_used) == (9, 40, "greedy")
+
     def test_zero_rows_reported_in_warnings(self):
         rng = np.random.default_rng(55)
         y, _, h = separable_data(rng, n=60)
@@ -318,6 +327,17 @@ class TestAgainstReferencePipeline:
             reference = pilot.estimate_phi(y.values)
             aligned = aligned_estimate(reference, ours)
             assert np.abs(aligned - reference).max() <= 1e-12
+
+
+class TestConcentrationMatrix:
+    @pytest.mark.parametrize(
+        "values",
+        [np.zeros((4, 3)), np.array([[1.0, 0.0, 2.0], [3.0, 0.0, 0.5]])],
+        ids=["all-zero", "zero-column"],
+    )
+    def test_rejects_a_column_without_a_positive_entry(self, values):
+        with pytest.raises(ValueError, match="every pollutant column"):
+            ConcentrationMatrix(values)
 
 
 class TestConfigValidation:

@@ -25,7 +25,12 @@ from apportion.evaluation import (
     nrmse,
     summarize_records,
 )
-from apportion.exceptions import NotContainedWarning, ShapeMismatch, ZeroNormRow
+from apportion.exceptions import (
+    HullFallbackWarning,
+    NotContainedWarning,
+    ShapeMismatch,
+    ZeroNormRow,
+)
 from apportion.synthgen import RngSpec, make_ground_truth
 
 
@@ -193,6 +198,15 @@ class TestHausdorff:
     def test_rejects_invalid_inputs(self, ystar, hstar, subdivisions):
         with pytest.raises(ValueError):
             hausdorff_to_polytope(np.asarray(ystar), np.asarray(hstar), subdivisions)
+
+    def test_above_cap_sample_hull_keeps_every_row(self):
+        # Rank 11 sample rows: hull_vertices keeps all 80 and warns; the
+        # distance is bitwise the one computed before it warned here.
+        rng = np.random.default_rng(61)
+        ystar = rng.dirichlet(np.ones(12), size=80)
+        with pytest.warns(HullFallbackWarning, match="^hull dimension 11 above cap"):
+            value = hausdorff_to_polytope(ystar, np.eye(12), grid_subdivisions=3)
+        assert value.hex() == "0x1.95f5a8d85b647p-1"
 
     def test_containment_count_matches_face_enumeration(self):
         rng = np.random.default_rng(11)

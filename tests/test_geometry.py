@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import ConvexHull, QhullError
 
 from conftest import det_log_volume, lp_hull_vertices
 
@@ -14,6 +15,7 @@ from apportion.exceptions import (
     AllDegenerate,
     BudgetExceeded,
     DegenerateCloud,
+    HullFallbackWarning,
     RankDeficientWarning,
 )
 from apportion.geometry import (
@@ -128,7 +130,38 @@ class TestHullVertices:
         # Above the cap every index is returned, a superset of the vertices.
         rng = np.random.default_rng(0)
         z = rng.normal(size=(40, geometry.HULL_DIM_MAX + 1))
-        assert hull_vertices(z).tolist() == list(range(40))
+        message = "^hull dimension 9 above cap; keeping all rows as candidates$"
+        with pytest.warns(HullFallbackWarning, match=message):
+            assert hull_vertices(z).tolist() == list(range(40))
+
+    def test_thin_clouds_keep_every_vertex_where_qhull_fails(self):
+        # Clouds of full numerical rank, one axis 1e-14 to 1e-13 thick.
+        # Undoing that scale is an affine map, so qhull on the rescaled
+        # cloud is the vertex oracle.  Where qhull raises on the thin
+        # cloud, every row must stay a candidate.
+        fallbacks = 0
+        for d, seed in itertools.product(range(2, 6), range(30)):
+            rng = np.random.default_rng([d, seed])
+            n = int(rng.integers(d + 2, 101))
+            thin = 10.0 ** rng.uniform(-14, -13)
+            z = rng.normal(size=(n, d))
+            z[:, -1] *= thin
+            if geometry._affine_rank(z) < d:
+                continue
+            try:
+                ConvexHull(z)
+                continue
+            except QhullError:
+                fallbacks += 1
+            rescaled = z.copy()
+            rescaled[:, -1] /= thin
+            oracle = set(ConvexHull(rescaled).vertices.tolist())
+            with pytest.warns(
+                HullFallbackWarning, match="^qhull could not build the hull; "
+            ):
+                verts = set(hull_vertices(z).tolist())
+            assert oracle <= verts
+        assert fallbacks >= 1
 
     @pytest.mark.parametrize("dim,n", [(2, 120), (3, 60)])
     def test_matches_lp_membership_oracle(self, dim, n):
