@@ -13,7 +13,6 @@ import argparse
 import csv
 import dataclasses
 import json
-import os
 import sys
 import time
 import warnings
@@ -41,8 +40,6 @@ from .evaluation import (
 )
 from .exceptions import ApportionError, NegativeValue, NonFinite, ParseError
 from .synthgen import PROCESSES, RngSpec, make_ground_truth
-
-WORKERS_ENV = "APPORTION_WORKERS"
 
 _FMT = "%.17g"
 # Rows formatted per write.  A block is all a write holds as Python floats
@@ -370,14 +367,6 @@ def _cmd_convergence_study(args) -> int:
     return 0
 
 
-def _default_workers() -> int:
-    env = os.environ.get(WORKERS_ENV, "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="apportion",
@@ -400,10 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--input", type=_existing_file, required=True)
     est.add_argument("--K", type=int, required=True)
     est.add_argument("--search", choices=SEARCH_MODES, default=EstimatorConfig.search)
-    est.add_argument(
-        "--epsilon-clip", type=float, default=EstimatorConfig.epsilon_clip
-    )
-    est.add_argument("--rank-cap", type=int, default=EstimatorConfig.rank_cap)
     est.add_argument(
         "--mean-method", choices=MEAN_METHODS, default=EstimatorConfig.mean_method
     )
@@ -432,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     study.add_argument("--search", choices=STUDY_SEARCHES, default=StudyDesign.search)
     study.add_argument("--seed", type=int, default=StudyDesign.master_seed)
     study.add_argument("--n-candidates", type=int, default=StudyDesign.n_candidates)
-    study.add_argument("--workers", type=int, default=_default_workers())
+    study.add_argument("--workers", type=int, default=1)
     study.add_argument("--out", required=True)
     study.set_defaults(func=_cmd_convergence_study)
 

@@ -22,6 +22,7 @@ from . import geometry
 from .exceptions import (
     ApportionError,
     BudgetExceeded,
+    DegenerateCloud,
     DroppedRowsWarning,
     NegativeMeanWarning,
     TooFewCandidates,
@@ -33,6 +34,8 @@ from .geometry import ProjectionBasis, VertexSubset
 SEARCH_MODES = ("auto", "greedy", "exhaustive")
 MEAN_METHODS = ("direct", "projected")
 ZERO_ROW_POLICIES = ("drop", "error")
+# Floor of the projected route's raw weights before renormalizing.
+_WEIGHT_FLOOR = 1e-10
 
 
 def _default_names(prefix: str, count: int) -> tuple[str, ...]:
@@ -85,12 +88,10 @@ class RowNormalizedData:
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Knobs for the apportionment pipeline."""
+    """Pipeline settings; the projection rank is K - 1, not a setting."""
 
     K: int
     search: str = "auto"
-    epsilon_clip: float = 1e-10
-    rank_cap: int | None = None
     mean_method: str = "direct"
     zero_row_policy: str = "drop"
 
@@ -99,18 +100,10 @@ class EstimatorConfig:
             raise ValueError("K must be >= 1")
         if self.search not in SEARCH_MODES:
             raise ValueError(f"search must be one of {SEARCH_MODES}")
-        if not 0.0 < self.epsilon_clip <= 1e-3:
-            raise ValueError("epsilon_clip must lie in (0, 1e-3]")
-        if self.rank_cap is not None and self.rank_cap < 1:
-            raise ValueError("rank_cap must be >= 1")
         if self.mean_method not in MEAN_METHODS:
             raise ValueError(f"mean_method must be one of {MEAN_METHODS}")
         if self.zero_row_policy not in ZERO_ROW_POLICIES:
             raise ValueError(f"zero_row_policy must be one of {ZERO_ROW_POLICIES}")
-
-    def effective_rank_cap(self) -> int:
-        # Noiseless K-source data has centered rank exactly K - 1.
-        return self.rank_cap if self.rank_cap is not None else max(self.K - 1, 1)
 
 
 @dataclass(frozen=True)
@@ -228,13 +221,22 @@ def row_normalize(
 
 
 def extract_candidates(data: RowNormalizedData, cfg: EstimatorConfig) -> CandidateSet:
-    """Candidate rows of Y*: ``geometry.hull_vertices`` of the projected
-    rows, a superset of their hull vertices.  Where that keeps every row,
-    it issues the HullFallbackWarning itself."""
+    """Candidate rows of Y*: ``geometry.hull_vertices`` of the rows
+    projected at rank K - 1, the rank of K noiseless sources, a superset
+    of their hull vertices.  Where that keeps every row, it issues the
+    HullFallbackWarning itself.
+
+    Raises DegenerateCloud when the rows span fewer than K - 1 dimensions:
+    no K of them then span a simplex, however rounding scores it.
+    """
     n = data.ystar.shape[0]
     if n < cfg.K + 1:
         raise TooFewCandidates(f"need at least K+1={cfg.K + 1} rows, got {n}")
-    basis, z = geometry.intrinsic_projection(data.ystar, cfg.effective_rank_cap())
+    basis, z = geometry.intrinsic_projection(data.ystar, max(cfg.K - 1, 1))
+    if basis.rank < cfg.K - 1:
+        raise DegenerateCloud(
+            f"rows span {basis.rank} dimensions; K={cfg.K} sources need {cfg.K - 1}"
+        )
     idx = geometry.hull_vertices(z)
     if idx.size < cfg.K:
         raise TooFewCandidates(
@@ -281,7 +283,7 @@ def estimate_mu_tilde(
     projected-weights route.
 
     "direct": m^T = [col-mean(Y), total] @ R, negatives clipped to 0.
-    "projected": W*_raw = [Y* | 1] @ R, clipped below at epsilon_clip,
+    "projected": W*_raw = [Y* | 1] @ R, clipped below at ``_WEIGHT_FLOOR``,
     rows renormalized, then column means of diag(r) W*.  Both agree (to
     1e-8) on noiseless data whose raw weights need no clipping.
     """
@@ -300,7 +302,7 @@ def estimate_mu_tilde(
         return m
     ystar_aug = np.hstack([data.ystar, np.ones((data.ystar.shape[0], 1))])
     w_raw = ystar_aug @ rinv
-    w = np.maximum(w_raw, cfg.epsilon_clip)
+    w = np.maximum(w_raw, _WEIGHT_FLOOR)
     w /= w.sum(axis=1, keepdims=True)
     return (data.row_sums[:, None] * w).mean(axis=0)
 

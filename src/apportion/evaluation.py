@@ -175,7 +175,7 @@ def _sample_hull_points(ystar: np.ndarray) -> np.ndarray:
     if ystar.shape[0] <= 64:
         return ystar
     try:
-        _, z = geometry.intrinsic_projection(ystar, rank_cap=ystar.shape[1] - 1)
+        _, z = geometry.intrinsic_projection(ystar, ystar.shape[1] - 1)
         return ystar[geometry.hull_vertices(z)]
     except DegenerateCloud:
         return ystar

@@ -129,14 +129,16 @@ def _maximin_subset(points: np.ndarray, k: int) -> tuple[int, ...]:
     for i in range(0, m, step):
         diff = points[i : i + step, None, :] - points[None, :, :]
         dist2[i : i + step] = (diff**2).sum(axis=2)
-    values = np.unique(dist2)
+    # Thresholds: 0, where every pair is an edge, and the upper triangle,
+    # sorted in place; repeats do not move the largest one with a clique.
+    values = np.concatenate([[0.0], *(dist2[i, i + 1 :] for i in range(m - 1))])
+    values.sort()
 
     def first_clique(t: float) -> tuple[int, ...] | None:
         rows = np.packbits(dist2 >= t, axis=1, bitorder="little")
         adj = [int.from_bytes(row, "little") for row in rows]
         return next(_cliques(adj, (1 << m) - 1, k), None)
 
-    # values[0] is the diagonal's 0, where every pair is an edge.
     lo, hi = 0, len(values) - 1
     while lo < hi:
         mid = (lo + hi + 1) // 2
@@ -183,7 +185,7 @@ def generate_profile_matrix(
         cand = gen.standard_exponential((n_candidates, J))
         cand /= cand.sum(axis=1, keepdims=True)
         try:
-            _, z = geometry.intrinsic_projection(cand, rank_cap=J - 1)
+            _, z = geometry.intrinsic_projection(cand, J - 1)
         except DegenerateCloud:
             continue
         h = cand[list(_maximin_subset(z, K))]

@@ -334,14 +334,14 @@ class TestEstimateCommand:
 
         monkeypatch.setattr(estimator, "_select_max_volume", pick_later_twins)
         est = tmp_path / "est"
-        args = ["estimate", "--input", str(path), "--K", "3", "--rank-cap", "10"]
+        args = ["estimate", "--input", str(path), "--K", "10"]
         assert main(args + ["--out", str(est)]) == 0
         diag = json.loads((est / "diagnostics.json").read_text())
         assert all(r >= 15 for r in diag["subset_rows"])
         scatter = read_csv(est / "hull_scatter.csv")[1:]
         marked = [int(r[0]) for r in scatter if r[-1] == "1"]
         assert marked == sorted(diag["subset_rows"])
-        result = apportion(load_concentrations(path), EstimatorConfig(K=3, rank_cap=10))
+        result = apportion(load_concentrations(path), EstimatorConfig(K=10))
         expected = reference_scatter_bytes(tmp_path / "ref.csv", result)
         assert (est / "hull_scatter.csv").read_bytes() == expected
 
@@ -545,14 +545,11 @@ class TestConvergenceStudyCommand:
         assert not out.exists()
 
     def test_workers_env_default(self, monkeypatch):
-        from apportion.cli import WORKERS_ENV, build_parser
+        from apportion.cli import build_parser
 
-        monkeypatch.setenv(WORKERS_ENV, "3")
-        args = build_parser().parse_args(
-            ["convergence-study", "--out", "ignored"]
-        )
-        assert args.workers == 3
-        monkeypatch.setenv(WORKERS_ENV, "3")
+        monkeypatch.setenv("APPORTION_WORKERS", "3")
+        args = build_parser().parse_args(["convergence-study", "--out", "ignored"])
+        assert args.workers == 1
         args = build_parser().parse_args(
             ["convergence-study", "--workers", "5", "--out", "ignored"]
         )

@@ -91,7 +91,7 @@ class TestExtractCandidates:
         assert len(cands.indices) >= 3
         from apportion.geometry import intrinsic_projection
 
-        _, z = intrinsic_projection(data.ystar, cfg.effective_rank_cap())
+        _, z = intrinsic_projection(data.ystar, cfg.K - 1)
         assert sorted(cands.indices.tolist()) == lp_hull_vertices(z).tolist()
 
     def test_too_few_rows(self):
@@ -103,11 +103,23 @@ class TestExtractCandidates:
         rng = np.random.default_rng(71)
         ystar = rng.dirichlet(np.ones(12), size=40)
         data = row_normalize(ConcentrationMatrix(ystar))
-        cfg = EstimatorConfig(K=10, rank_cap=9)
+        cfg = EstimatorConfig(K=10)
         with pytest.warns(HullFallbackWarning):
             cands = extract_candidates(data, cfg)
         assert cands.indices.tolist() == list(range(40))
         assert cands.basis.rank == 9
+
+    @pytest.mark.parametrize("search", ["auto", "greedy"])
+    def test_k_above_data_rank_is_rejected(self, search):
+        # Three sources span 2 dimensions; four sources need 3.  Without
+        # the check the searches return a rounding-error simplex.
+        y, _ = make_ground_truth(2000, 8, 3, "ar1", RngSpec(0))
+        with pytest.raises(DegenerateCloud) as err:
+            apportion(y, EstimatorConfig(K=4, search=search))
+        assert err.value.stage == "extract_candidates"
+        assert str(err.value) == (
+            "[extract_candidates] rows span 2 dimensions; K=4 sources need 3"
+        )
 
 
 class TestEstimateHStar:
@@ -344,10 +356,6 @@ class TestConfigValidation:
     def test_rejects_bad_search(self):
         with pytest.raises(ValueError):
             EstimatorConfig(K=3, search="random")
-
-    def test_rejects_bad_epsilon(self):
-        with pytest.raises(ValueError):
-            EstimatorConfig(K=3, epsilon_clip=0.5)
 
     def test_k_must_be_below_j(self):
         y = ConcentrationMatrix(np.ones((10, 3)) + np.eye(10, 3))

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -176,19 +177,32 @@ class TestMaximinSubset:
     @pytest.mark.parametrize("m", [40, 103, 700])
     def test_distances_bitwise_equal_unblocked(self, monkeypatch, m):
         # The squared distances are built a block of rows at a time; each
-        # entry must be the bits of the all-pairs expression.
+        # entry must be the bits of the all-pairs expression.  The upper
+        # triangle's rows reach np.concatenate as views of that matrix.
         seen = []
-        unique = np.unique
+        concatenate = np.concatenate
 
-        def spy(values, *args, **kwargs):
-            seen.append(values.copy())
-            return unique(values, *args, **kwargs)
+        def spy(arrays, *args, **kwargs):
+            seen.append(arrays[1].base.copy())
+            return concatenate(arrays, *args, **kwargs)
 
-        monkeypatch.setattr(np, "unique", spy)
         points = np.random.default_rng(m).normal(size=(m, 7))
+        monkeypatch.setattr(np, "concatenate", spy)
         _maximin_subset(points, 2)
         diff = points[:, None, :] - points[None, :, :]
         assert seen[0].tobytes() == (diff**2).sum(axis=2).tobytes()
+
+    def test_peak_memory_below_twice_the_distances(self):
+        # The thresholds come from the upper triangle sorted in place, not
+        # from a sorted copy of all m^2 distances.
+        m = 1000
+        tracemalloc.start()
+        try:
+            generate_profile_matrix(8, 4, m, RngSpec(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * m * m * 8
 
     def test_rejects_k_above_point_count(self):
         with pytest.raises(ValueError):
