@@ -32,7 +32,6 @@ from .evaluation import (
     summarize_records,
 )
 from .geometry import (
-    ProjectionBasis,
     VertexSubset,
     affine_right_inverse,
     hull_vertices,
@@ -70,7 +69,6 @@ __all__ = [
     "LogAR1Params",
     "LognormalMixtureParams",
     "MetricsRecord",
-    "ProjectionBasis",
     "RngSpec",
     "RowNormalizedData",
     "StudyDesign",

@@ -216,7 +216,6 @@ def _cmd_simulate(args) -> int:
         args.K,
         args.process,
         rng,
-        n_candidates=args.n_candidates,
         plant_corners=args.plant_corners,
     )
     source_labels = truth.phi_true.source_labels
@@ -233,7 +232,6 @@ def _cmd_simulate(args) -> int:
         "J": args.J,
         "K": args.K,
         "seed": args.seed,
-        "n_candidates": args.n_candidates,
         "plant_corners": args.plant_corners,
     }
     _write_manifest(
@@ -261,7 +259,6 @@ def _study_design(args) -> StudyDesign:
         replicates=args.replicates,
         search=args.search,
         master_seed=args.seed,
-        n_candidates=args.n_candidates,
     )
 
 
@@ -380,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--J", type=int, required=True)
     sim.add_argument("--K", type=int, required=True)
     sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--n-candidates", type=int, default=None)
     sim.add_argument("--plant-corners", action="store_true")
     sim.add_argument("--out", required=True)
     sim.set_defaults(func=_cmd_simulate)
@@ -416,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     study.add_argument("--replicates", type=int, default=StudyDesign.replicates)
     study.add_argument("--search", choices=STUDY_SEARCHES, default=StudyDesign.search)
     study.add_argument("--seed", type=int, default=StudyDesign.master_seed)
-    study.add_argument("--n-candidates", type=int, default=StudyDesign.n_candidates)
     study.add_argument("--workers", type=int, default=1)
     study.add_argument("--out", required=True)
     study.set_defaults(func=_cmd_convergence_study)

@@ -29,7 +29,7 @@ from .exceptions import (
     ZeroDenominator,
     ZeroRow,
 )
-from .geometry import ProjectionBasis, VertexSubset
+from .geometry import VertexSubset
 
 SEARCH_MODES = ("auto", "greedy", "exhaustive")
 MEAN_METHODS = ("direct", "projected")
@@ -139,12 +139,15 @@ class AttributionMatrix:
 
 @dataclass(frozen=True)
 class CandidateSet:
-    """Hull-vertex candidates in both ambient and projected coordinates."""
+    """Hull-vertex candidates in both ambient and projected coordinates.
+
+    ``z`` holds the candidates' rows of ``geometry.intrinsic_projection``'s
+    cloud; its column count r_B is the projection rank.
+    """
 
     ystar: np.ndarray  # (m, J) candidate rows of Y*
     indices: np.ndarray  # (m,) row indices into the normalized data
     z: np.ndarray  # (m, r_B) projected coordinates
-    basis: ProjectionBasis
 
 
 @dataclass(frozen=True)
@@ -232,17 +235,17 @@ def extract_candidates(data: RowNormalizedData, cfg: EstimatorConfig) -> Candida
     n = data.ystar.shape[0]
     if n < cfg.K + 1:
         raise TooFewCandidates(f"need at least K+1={cfg.K + 1} rows, got {n}")
-    basis, z = geometry.intrinsic_projection(data.ystar, max(cfg.K - 1, 1))
-    if basis.rank < cfg.K - 1:
+    z = geometry.intrinsic_projection(data.ystar, max(cfg.K - 1, 1))
+    if z.shape[1] < cfg.K - 1:
         raise DegenerateCloud(
-            f"rows span {basis.rank} dimensions; K={cfg.K} sources need {cfg.K - 1}"
+            f"rows span {z.shape[1]} dimensions; K={cfg.K} sources need {cfg.K - 1}"
         )
     idx = geometry.hull_vertices(z)
     if idx.size < cfg.K:
         raise TooFewCandidates(
             f"{idx.size} candidates for K={cfg.K}; hull has too few vertices"
         )
-    return CandidateSet(ystar=data.ystar[idx], indices=idx, z=z[idx], basis=basis)
+    return CandidateSet(ystar=data.ystar[idx], indices=idx, z=z[idx])
 
 
 def _select_max_volume(
@@ -359,7 +362,7 @@ def apportion(y: ConcentrationMatrix, cfg: EstimatorConfig) -> ApportionmentEsti
 
     n_hull = len(cands.indices) if cands is not None else 1
     diag = Diagnostics(
-        r_b=cands.basis.rank if cands is not None else 0,
+        r_b=cands.z.shape[1] if cands is not None else 0,
         n_hull_vertices=n_hull,
         n_candidates_after_prune=n_hull,
         log_volume=subset.log_volume,

@@ -32,7 +32,6 @@ from .synthgen import (
     PROCESSES,
     REPLICATE_STRIDE,
     RngSpec,
-    check_n_candidates,
     make_ground_truth,
 )
 
@@ -71,7 +70,6 @@ class StudyDesign:
     replicates: int = 50
     search: str = "greedy"
     master_seed: int = 0
-    n_candidates: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
@@ -85,44 +83,25 @@ class StudyDesign:
             raise ValueError("need at least one replicate and one sample size")
         if min(self.n_grid) < 1:
             raise ValueError("every n_grid entry must be >= 1")
-        if self.n_candidates is not None:
-            check_n_candidates(self.K, self.n_candidates)
-
-
-def _brute_force_assignment(cost: np.ndarray) -> tuple[tuple[int, ...], float]:
-    k = cost.shape[0]
-    rows = np.arange(k)
-    best_perm: tuple[int, ...] | None = None
-    best_total = math.inf
-    for perm in itertools.permutations(range(k)):
-        total = float(cost[rows, perm].sum())
-        if total < best_total:
-            best_total = total
-            best_perm = perm
-    assert best_perm is not None
-    return best_perm, best_total
 
 
 def align_rows(phi_true: np.ndarray, phi_hat: np.ndarray) -> AlignmentResult:
     """Best row matching under total squared Euclidean distance.
 
-    All K! permutations are enumerated for K <= 8 (lexicographically
-    smallest wins ties); larger K solves the assignment problem.
+    Solves the K x K assignment problem on the squared row distances with
+    ``scipy.optimize.linear_sum_assignment``, in polynomial time for any K.
     """
     a = np.asarray(phi_true, dtype=float)
     b = np.asarray(phi_hat, dtype=float)
     if a.shape != b.shape or a.ndim != 2:
         raise ShapeMismatch(f"shapes {a.shape} and {b.shape} do not match")
     cost = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
-    if a.shape[0] <= 8:
-        perm, total = _brute_force_assignment(cost)
-    else:
-        from scipy.optimize import linear_sum_assignment
+    # Imported here: scipy.optimize adds about 0.1 s to `import
+    # apportion.cli`, and only this solver needs it.
+    from scipy.optimize import linear_sum_assignment
 
-        rows, cols = linear_sum_assignment(cost)
-        perm = tuple(int(c) for c in cols)
-        total = float(cost[rows, cols].sum())
-    return AlignmentResult(perm, total)
+    rows, cols = linear_sum_assignment(cost)
+    return AlignmentResult(tuple(int(c) for c in cols), float(cost[rows, cols].sum()))
 
 
 def nrmse(phi_true: np.ndarray, phi_hat_aligned: np.ndarray) -> float:
@@ -175,7 +154,7 @@ def _sample_hull_points(ystar: np.ndarray) -> np.ndarray:
     if ystar.shape[0] <= 64:
         return ystar
     try:
-        _, z = geometry.intrinsic_projection(ystar, ystar.shape[1] - 1)
+        z = geometry.intrinsic_projection(ystar, ystar.shape[1] - 1)
         return ystar[geometry.hull_vertices(z)]
     except DegenerateCloud:
         return ystar
@@ -308,9 +287,7 @@ def _run_study_task(design: StudyDesign, task: tuple[int, int, int]):
     n_index, n, replicate = task
     task_index = n_index * design.replicates + replicate
     rng = RngSpec(design.master_seed, task_index * REPLICATE_STRIDE)
-    y, truth = make_ground_truth(
-        n, design.J, design.K, design.process, rng, design.n_candidates
-    )
+    y, truth = make_ground_truth(n, design.J, design.K, design.process, rng)
     searches = ("greedy", "exhaustive") if design.search == "both" else (design.search,)
     records = []
     for search in searches:

@@ -70,26 +70,6 @@ _FRONTIER_ROWS = 4096
 
 
 @dataclass(frozen=True)
-class ProjectionBasis:
-    """Affine map from row-stochastic J-space into intrinsic coordinates.
-
-    A row y (with the last coordinate dropped and the stored mean
-    subtracted) maps to y_c @ basis; the basis columns are orthonormal.
-    """
-
-    mean_offset: np.ndarray  # (J-1,)
-    basis: np.ndarray  # (J-1, rank)
-    rank: int
-
-    def __post_init__(self):
-        gram = self.basis.T @ self.basis
-        if not np.allclose(gram, np.eye(self.rank), atol=1e-10):
-            raise ValueError("basis columns are not orthonormal")
-        if not 1 <= self.rank <= self.basis.shape[0]:
-            raise ValueError("rank outside [1, J-1]")
-
-
-@dataclass(frozen=True)
 class VertexSubset:
     """K distinct candidate indices plus the simplex log-volume they span."""
 
@@ -103,16 +83,15 @@ class VertexSubset:
             raise ValueError("log_volume must be finite or -inf")
 
 
-def intrinsic_projection(
-    ystar: np.ndarray, rank_cap: int
-) -> tuple[ProjectionBasis, np.ndarray]:
+def intrinsic_projection(ystar: np.ndarray, rank_cap: int) -> np.ndarray:
     """Project row-stochastic points into the affine span of their cloud.
 
     Drops the last coordinate, centers the rest, and keeps the leading
     right-singular directions.  The retained rank is the number of singular
     values above n * eps * sigma_1, further capped at ``rank_cap``.
 
-    Returns the basis and the projected cloud Z (n, rank).
+    Returns the projected cloud Z (n, rank), whose columns are the centered
+    rows' coordinates along those directions.
 
     Raises DegenerateCloud when the centered cloud has rank zero (all rows
     identical).
@@ -128,15 +107,12 @@ def intrinsic_projection(
         raise ValueError("rows must sum to 1 within 1e-8")
 
     reduced = ystar[:, :-1]
-    mean_offset = reduced.mean(axis=0)
-    centered = reduced - mean_offset
+    centered = reduced - reduced.mean(axis=0)
     _, sing, vt = np.linalg.svd(centered, full_matrices=False)
     detected = _numerical_rank(sing, n)
     if detected == 0:
         raise DegenerateCloud("all rows identical: centered cloud has rank 0")
-    rank = min(rank_cap, detected)
-    basis = vt[:rank].T
-    return ProjectionBasis(mean_offset, basis, rank), centered @ basis
+    return centered @ vt[: min(rank_cap, detected)].T
 
 
 def _numerical_rank(sing: np.ndarray, n: int) -> int:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .estimator import AttributionMatrix, ConcentrationMatrix
-from .exceptions import DegenerateCloud, GenerationFailed, ZeroDenominator
+from .estimator import AttributionMatrix, ConcentrationMatrix, compute_phi
+from .exceptions import DegenerateCloud, GenerationFailed
 
 REPLICATE_STRIDE = 1 << 16
 PROFILE_STREAM = 1 << 15
@@ -158,12 +158,6 @@ def _cliques(adj: list[int], cand: int, k: int):
             yield (v,) + tail
 
 
-def check_n_candidates(K: int, n_candidates: int) -> None:
-    """The profile generator's rule: at least 10 candidate draws per source."""
-    if n_candidates < 10 * K:
-        raise ValueError("n_candidates must be at least 10*K")
-
-
 def generate_profile_matrix(
     J: int, K: int, n_candidates: int, rng: RngSpec
 ) -> np.ndarray:
@@ -179,13 +173,14 @@ def generate_profile_matrix(
     """
     if not 1 <= K <= J:
         raise ValueError("need 1 <= K <= J")
-    check_n_candidates(K, n_candidates)
+    if n_candidates < 10 * K:
+        raise ValueError("n_candidates must be at least 10*K")
     gen = rng.generator()
     for _ in range(100):
         cand = gen.standard_exponential((n_candidates, J))
         cand /= cand.sum(axis=1, keepdims=True)
         try:
-            _, z = geometry.intrinsic_projection(cand, J - 1)
+            z = geometry.intrinsic_projection(cand, J - 1)
         except DegenerateCloud:
             continue
         h = cand[list(_maximin_subset(z, K))]
@@ -280,19 +275,15 @@ def draw_mixture_params(K: int, rng: RngSpec) -> LognormalMixtureParams:
 
 
 def true_phi(mu: np.ndarray, H: np.ndarray) -> AttributionMatrix:
-    """Attribution fractions mu_k H_kj / sum_l mu_l H_lj from ground truth."""
+    """Attribution fractions mu_k H_kj / sum_l mu_l H_lj from ground truth,
+    by the estimator's own ``compute_phi``."""
     mu = np.asarray(mu, dtype=float)
     H = np.asarray(H, dtype=float)
     if mu.ndim != 1 or H.ndim != 2 or mu.shape[0] != H.shape[0]:
         raise ValueError("mu must have one entry per row of H")
     if mu.min() < 0 or mu.max() <= 0:
         raise ValueError("mu must be non-negative with a positive entry")
-    scaled = mu[:, None] * H
-    den = scaled.sum(axis=0)
-    bad = np.flatnonzero(den <= 0.0)
-    if bad.size:
-        raise ZeroDenominator(int(bad[0]))
-    return AttributionMatrix(scaled / den)
+    return compute_phi(mu, H)
 
 
 def make_ground_truth(
@@ -301,21 +292,20 @@ def make_ground_truth(
     K: int,
     process: str,
     rng: RngSpec,
-    n_candidates: int | None = None,
     plant_corners: bool = False,
 ) -> tuple[ConcentrationMatrix, GroundTruth]:
     """Draw (H, params, W), return Y = W H plus the exact ground truth.
 
-    ``plant_corners`` appends K emission rows mu_k e_k so the data contains
-    one exactly pure record per source (used by exact-recovery tests).
+    H is ``generate_profile_matrix``'s maximin pick among 10·K candidate
+    draws.  ``plant_corners`` appends K emission rows mu_k e_k so the data
+    contains one exactly pure record per source (used by exact-recovery
+    tests).
     """
     if not 1 <= K < J:
         raise ValueError("need 1 <= K < J")
     if process not in PROCESSES:
         raise ValueError("process must be 'ar1' or 'mixture'")
-    if n_candidates is None:
-        n_candidates = 10 * K
-    H = generate_profile_matrix(J, K, n_candidates, rng.substream(PROFILE_STREAM))
+    H = generate_profile_matrix(J, K, 10 * K, rng.substream(PROFILE_STREAM))
     if process == "ar1":
         params = draw_ar1_params(K, rng.substream(PARAMS_STREAM))
         W = simulate_log_ar1(n, params, rng)

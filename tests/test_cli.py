@@ -531,7 +531,7 @@ class TestConvergenceStudyCommand:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--n-grid", "200,0"], ["--n-candidates", "5", "--K", "3"]],
+        [["--n-grid", "200,0"], ["--J", "8", "--K", "8"]],
     )
     def test_bad_design_fails_before_any_task(self, tmp_path, capsys, monkeypatch, flags):
         def no_study(*args, **kwargs):

@@ -56,7 +56,7 @@ class TestAlignRows:
         assert result.permutation == perm
         assert result.total_sq_distance == pytest.approx(total, rel=1e-12)
 
-    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7, 8])
     def test_assignment_solver_agrees_with_brute_force(self, k):
         rng = np.random.default_rng(40 + k)
         a, b = rng.uniform(size=(k, 5)), rng.uniform(size=(k, 5))
@@ -359,9 +359,6 @@ class TestConvergenceStudy:
         # What the generator would reject, before any task runs.
         with pytest.raises(ValueError, match="n_grid entry"):
             StudyDesign(n_grid=(200, 0))
-        with pytest.raises(ValueError, match=r"at least 10\*K"):
-            StudyDesign(K=3, n_candidates=29)
-        StudyDesign(K=3, n_candidates=30, n_grid=(1,))
 
     def test_failures_recorded_not_fatal(self):
         design = StudyDesign(

@@ -119,7 +119,7 @@ class TestProfileMatrix:
             gen = RngSpec(seed).generator()
             cand = gen.standard_exponential((n_candidates, J))
             cand /= cand.sum(axis=1, keepdims=True)
-            _, z = geometry.intrinsic_projection(cand, rank_cap=J - 1)
+            z = geometry.intrinsic_projection(cand, rank_cap=J - 1)
             verts = geometry.hull_vertices(z)
             over_hull = tuple(verts[list(_maximin_subset(z[verts], K))])
             pick = _maximin_subset(z, K)
