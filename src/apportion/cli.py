@@ -332,6 +332,8 @@ def _metrics_csv_rows(records: list[MetricsRecord]):
 
 def _cmd_convergence_study(args) -> int:
     design = _study_design(args)
+    if args.workers < 1:
+        raise ValueError("workers must be >= 1")
     out = _out_dir(args.out)
     records = convergence_study(design, workers=args.workers)
     _write_rows(

@@ -13,7 +13,6 @@ import itertools
 import math
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -96,8 +95,8 @@ def align_rows(phi_true: np.ndarray, phi_hat: np.ndarray) -> AlignmentResult:
     if a.shape != b.shape or a.ndim != 2:
         raise ShapeMismatch(f"shapes {a.shape} and {b.shape} do not match")
     cost = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
-    # Imported here: scipy.optimize adds about 0.1 s to `import
-    # apportion.cli`, and only this solver needs it.
+    # Each scipy module is imported by the function that uses it, so
+    # `import apportion` loads numpy only.
     from scipy.optimize import linear_sum_assignment
 
     rows, cols = linear_sum_assignment(cost)
@@ -332,15 +331,19 @@ def convergence_study(design: StudyDesign, workers: int = 1) -> list[MetricsReco
     parameters from its own stream block, so results are a pure function
     of the design: replicate-level parallelism cannot change them.
     """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     tasks = [
         (n_index, n, replicate)
         for n_index, n in enumerate(design.n_grid)
         for replicate in range(design.replicates)
     ]
     runner = partial(_run_study_task, design)
-    if workers <= 1:
+    if workers == 1:
         batches = [runner(task) for task in tasks]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk = max(1, len(tasks) // (4 * workers))
             batches = list(pool.map(runner, tasks, chunksize=chunk))

@@ -26,7 +26,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .exceptions import (
     AllDegenerate,
@@ -155,6 +154,8 @@ def hull_vertices(z: np.ndarray) -> np.ndarray:
             raise DegenerateCloud(f"points are affinely dependent below dimension {d}")
         if d == 1:
             return np.unique([int(np.argmin(z[:, 0])), int(np.argmax(z[:, 0]))])
+        from scipy.spatial import ConvexHull, QhullError
+
         try:
             return np.unique(ConvexHull(z).vertices)
         except QhullError:

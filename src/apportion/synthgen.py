@@ -197,8 +197,8 @@ def simulate_log_ar1(n: int, params: LogAR1Params, rng: RngSpec) -> np.ndarray:
     g_ik = mu_k + phi_k (g_{i-1,k} - mu_k) + eps_ik is run by linear
     filtering; emissions are exp(g).
     """
-    # Imported here: scipy.signal costs half of `import apportion.cli`, and
-    # only this first-order filter needs it.
+    # Each scipy module is imported by the function that uses it, so
+    # `import apportion` loads numpy only.
     from scipy.signal import lfilter
 
     if n < 1:

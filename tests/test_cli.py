@@ -275,6 +275,53 @@ def test_import_cli_loads_no_scipy_signal_or_optimize():
     assert result.stdout.strip() == ""
 
 
+def test_import_loads_no_scipy_and_deferred_qhull_works():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    # The study runs first, so its workers start from a parent that never
+    # loaded qhull; the hull calls after it are the parent's first.
+    code = """
+import dataclasses, sys, warnings
+import numpy as np
+import apportion, apportion.cli
+from apportion import geometry
+from apportion.evaluation import StudyDesign, convergence_study
+from apportion.exceptions import HullFallbackWarning
+
+loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+assert not loaded, loaded
+assert "concurrent.futures.process" not in sys.modules
+design = StudyDesign(J=5, K=3, n_grid=(60, 120), replicates=2)
+parallel = convergence_study(design, workers=2)
+assert "scipy.spatial" not in sys.modules
+
+z = np.random.default_rng(5).normal(size=(40, 2))
+verts = geometry.hull_vertices(z)
+from scipy.spatial import ConvexHull
+assert verts.tolist() == np.unique(ConvexHull(z).vertices).tolist()
+
+# The d=5, seed 6 cloud of test_geometry's thin-cloud test: qhull raises.
+rng = np.random.default_rng([5, 6])
+n = int(rng.integers(7, 101))
+thin = 10.0 ** rng.uniform(-14, -13)
+z = rng.normal(size=(n, 5))
+z[:, -1] *= thin
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    verts = geometry.hull_vertices(z)
+assert [w.category for w in caught] == [HullFallbackWarning], caught
+assert verts.tolist() == list(range(n))
+
+serial = convergence_study(design, workers=1)
+strip = lambda records: [dataclasses.replace(r, runtime_seconds=0.0) for r in records]
+assert strip(parallel) == strip(serial)
+"""
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+
+
 class TestSimulateCommand:
     def test_byte_identical_reruns(self, tmp_path):
         args = ["simulate", "--process", "ar1", "--n", "40", "--J", "8", "--K", "3", "--seed", "7"]
@@ -531,7 +578,12 @@ class TestConvergenceStudyCommand:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--n-grid", "200,0"], ["--J", "8", "--K", "8"]],
+        [
+            ["--n-grid", "200,0"],
+            ["--J", "8", "--K", "8"],
+            ["--workers", "0"],
+            ["--workers", "-3"],
+        ],
     )
     def test_bad_design_fails_before_any_task(self, tmp_path, capsys, monkeypatch, flags):
         def no_study(*args, **kwargs):

@@ -341,6 +341,12 @@ class TestConvergenceStudy:
 
         assert strip(sequential) == strip(parallel)
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_worker_count_below_one_raises(self, workers):
+        design = StudyDesign(J=5, K=3, n_grid=(60,), replicates=1)
+        with pytest.raises(ValueError, match="^workers must be >= 1$"):
+            convergence_study(design, workers=workers)
+
     def test_summary_rows(self, small_both):
         design, records = small_both
         summary = summarize_records(records)
