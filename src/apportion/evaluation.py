@@ -9,7 +9,6 @@ Euclidean distance before either metric is computed.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 import warnings
@@ -22,7 +21,6 @@ from . import geometry
 from .estimator import ApportionmentEstimate, EstimatorConfig, apportion
 from .exceptions import (
     ApportionError,
-    DegenerateCloud,
     NotContainedWarning,
     ShapeMismatch,
     ZeroNormRow,
@@ -125,40 +123,6 @@ def nfd(phi_true: np.ndarray, phi_hat_aligned: np.ndarray) -> float:
     return float(np.linalg.norm(a - b) / np.linalg.norm(a))
 
 
-def _barycentric_grid(k: int, subdivisions: int) -> np.ndarray:
-    """All weight vectors with entries i/subdivisions summing to one."""
-    if k == 1:
-        return np.ones((1, 1))
-    rows = []
-    for bars in itertools.combinations(range(subdivisions + k - 1), k - 1):
-        parts = []
-        prev = -1
-        for b in bars:
-            parts.append(b - prev - 1)
-            prev = b
-        parts.append(subdivisions + k - 2 - prev)
-        rows.append(parts)
-    return np.asarray(rows, dtype=float) / subdivisions
-
-
-def _default_subdivisions(k: int) -> int:
-    if k <= 4:
-        return 20
-    if k <= 6:
-        return 8
-    return 4
-
-
-def _sample_hull_points(ystar: np.ndarray) -> np.ndarray:
-    if ystar.shape[0] <= 64:
-        return ystar
-    try:
-        z = geometry.intrinsic_projection(ystar, ystar.shape[1] - 1)
-        return ystar[geometry.hull_vertices(z)]
-    except DegenerateCloud:
-        return ystar
-
-
 def _distances_to_polytope(points: np.ndarray, vertices: np.ndarray) -> np.ndarray:
     """Euclidean distance from each point to conv(vertices), exact up to
     rounding in any dimension: Wolfe's minimum-norm-point algorithm (Wolfe
@@ -167,13 +131,15 @@ def _distances_to_polytope(points: np.ndarray, vertices: np.ndarray) -> np.ndarr
     For a point x, y is its nearest point so far minus x, a positive
     combination of a corral of at most (affine rank + 1) vertices.  A major
     step adds the vertex minimizing <y, v - x>, unless that beats |y|^2 by
-    no more than rounding, the corral spans the vertices' affine hull, or
-    |y| did not shrink since the last major step: then x is done.  A minor
-    step solves the affine minimum-norm problem on every corral in one
-    batched KKT solve (weights, multiplier and y; unused slots padded by
-    identity rows).  If a weight is not positive, the weights move toward
-    the solution until the first one reaches zero, and its vertex leaves.
-    Reaching the iteration cap raises RuntimeError.
+    no more than rounding, that vertex is already in the corral (Wolfe's
+    optimality test: a second copy would make the KKT system singular), the
+    corral spans the vertices' affine hull, or |y| did not shrink since the
+    last major step: then x is done.  A minor step solves the affine
+    minimum-norm problem on every corral in one batched KKT solve (weights,
+    multiplier and y; unused slots padded by identity rows).  If a weight
+    is not positive, the weights move toward the solution until the first
+    one reaches zero, and its vertex leaves.  Reaching the iteration cap
+    raises RuntimeError.
     """
     if len(points) > _MNP_BLOCK_ROWS:
         blocks = np.split(points, range(_MNP_BLOCK_ROWS, len(points), _MNP_BLOCK_ROWS))
@@ -200,6 +166,7 @@ def _distances_to_polytope(points: np.ndarray, vertices: np.ndarray) -> np.ndarr
         gap = cur - dots[np.arange(rows.size), best]
         done = (gap <= tol[rows] * np.sqrt(cur)) | active[rows].all(axis=1)
         done |= cur >= norm2[rows]
+        done |= (active[rows] & (index[rows] == best[:, None])).any(axis=1)
         norm2[rows] = np.minimum(norm2[rows], cur)
         live[rows[done]] = False
         rows, best = rows[~done], best[~done]
@@ -237,23 +204,16 @@ def _distances_to_polytope(points: np.ndarray, vertices: np.ndarray) -> np.ndarr
     raise RuntimeError("minimum-norm-point iteration did not converge")
 
 
-def hausdorff_to_polytope(
-    ystar: np.ndarray, hstar: np.ndarray, grid_subdivisions: int | None = None
-) -> float:
+def hausdorff_to_polytope(ystar: np.ndarray, hstar: np.ndarray) -> float:
     """Directed Hausdorff distance from conv(hstar) to the sample hull.
 
-    The maximum, over a deterministic barycentric grid of conv(hstar), of
-    the distance to the convex hull of the sample rows.  That distance is
-    exact in every dimension; only the grid approximates the supremum.
-    Warns NotContainedWarning when sample rows leave conv(hstar) by more
-    than 1e-8 (the sample hull is contained in conv(hstar) for noiseless
-    data, which is what makes the directed distance the Hausdorff one).
-    The sample hull is spanned by ``geometry.hull_vertices`` of the rows;
-    where that keeps every row (more than ``geometry.HULL_DIM_MAX``
-    intrinsic dimensions, or a hull qhull cannot build) it warns
-    HullFallbackWarning, and the polytope, so the distance, is the same.
-    Raises ValueError for empty or non-finite inputs, rows off the
-    simplex, or ``grid_subdivisions < 1``.
+    Exact: the maximum, over hstar's rows, of the distance to conv(ystar).
+    The distance to a convex set is convex, so its maximum over conv(hstar)
+    is reached at one of hstar's rows.  Warns NotContainedWarning when
+    sample rows leave conv(hstar) by more than 1e-8 (the sample hull is
+    contained in conv(hstar) for noiseless data, which is what makes the
+    directed distance the Hausdorff one).  Raises ValueError for empty or
+    non-finite inputs or rows off the simplex.
     """
     ystar = np.atleast_2d(np.asarray(ystar, dtype=float))
     hstar = np.atleast_2d(np.asarray(hstar, dtype=float))
@@ -264,10 +224,6 @@ def hausdorff_to_polytope(
             raise ValueError(f"{name} rows must lie on the simplex")
     if ystar.shape[1] != hstar.shape[1]:
         raise ShapeMismatch("ystar and hstar must share the ambient dimension")
-    if grid_subdivisions is None:
-        grid_subdivisions = _default_subdivisions(hstar.shape[0])
-    if grid_subdivisions < 1:
-        raise ValueError("grid_subdivisions must be at least 1")
 
     outside = _distances_to_polytope(ystar, hstar)
     if outside.max() > 1e-8:
@@ -277,9 +233,7 @@ def hausdorff_to_polytope(
             NotContainedWarning,
             stacklevel=2,
         )
-    grid_points = _barycentric_grid(hstar.shape[0], grid_subdivisions) @ hstar
-    hull_points = _sample_hull_points(ystar)
-    return float(_distances_to_polytope(grid_points, hull_points).max())
+    return float(_distances_to_polytope(hstar, ystar).max())
 
 
 def _run_study_task(design: StudyDesign, task: tuple[int, int, int]):

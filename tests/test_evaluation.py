@@ -1,11 +1,12 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linear_sum_assignment
+from scipy.optimize import linear_sum_assignment, nnls
 
 from conftest import (
     brute_force_align,
@@ -14,7 +15,7 @@ from conftest import (
     scalar_nrmse,
 )
 
-from apportion import evaluation
+from apportion import evaluation, geometry
 from apportion.evaluation import (
     StudyDesign,
     _distances_to_polytope,
@@ -162,12 +163,12 @@ class TestHausdorff:
     @pytest.mark.parametrize("k", [3, 4, 5, 6])
     def test_three_dim_span_against_closed_form(self, k):
         # sample hull = simplex a I + b 1 shrunk toward the centroid
-        # (a + k b = 1); the farthest grid point is a corner whose nearest
-        # point is the matching shrunk vertex, at distance
+        # (a + k b = 1); every corner is farthest, and its nearest point is
+        # the matching shrunk vertex, at distance
         # ||(k - 1) b e_1 - b (1 - e_1)|| = sqrt(k (k - 1)) b
         b = 0.075
         shrunk = (1.0 - k * b) * np.eye(k) + b
-        value = hausdorff_to_polytope(shrunk, np.eye(k), grid_subdivisions=10)
+        value = hausdorff_to_polytope(shrunk, np.eye(k))
         assert value == pytest.approx(math.sqrt(k * (k - 1)) * b, abs=1e-12)
 
     def test_rejects_off_simplex(self):
@@ -175,15 +176,13 @@ class TestHausdorff:
             hausdorff_to_polytope(np.array([[0.7, 0.7]]), np.eye(2))
 
     @pytest.mark.parametrize(
-        "ystar, hstar, subdivisions",
+        "ystar, hstar",
         [
-            ([[np.nan, 0.5, 0.5]], np.eye(3), None),
-            ([[np.inf, 0.0, 0.0]], np.eye(3), None),
-            (np.eye(3), [[np.nan, 0.5, 0.5], [0.0, 1.0, 0.0]], None),
-            (np.eye(3), np.empty((0, 3)), None),
-            (np.empty((0, 3)), np.eye(3), None),
-            (np.eye(3), np.eye(3), 0),
-            (np.eye(3), np.eye(3), -1),
+            ([[np.nan, 0.5, 0.5]], np.eye(3)),
+            ([[np.inf, 0.0, 0.0]], np.eye(3)),
+            (np.eye(3), [[np.nan, 0.5, 0.5], [0.0, 1.0, 0.0]]),
+            (np.eye(3), np.empty((0, 3))),
+            (np.empty((0, 3)), np.eye(3)),
         ],
         ids=[
             "nan-ystar",
@@ -191,22 +190,57 @@ class TestHausdorff:
             "nan-hstar",
             "empty-hstar",
             "empty-ystar",
-            "zero-grid",
-            "negative-grid",
         ],
     )
-    def test_rejects_invalid_inputs(self, ystar, hstar, subdivisions):
+    def test_rejects_invalid_inputs(self, ystar, hstar):
         with pytest.raises(ValueError):
-            hausdorff_to_polytope(np.asarray(ystar), np.asarray(hstar), subdivisions)
+            hausdorff_to_polytope(np.asarray(ystar), np.asarray(hstar))
 
-    def test_above_cap_sample_hull_keeps_every_row(self):
-        # Rank 11 sample rows: hull_vertices keeps all 80 and warns; the
-        # distance is bitwise the one computed before it warned here.
+    def test_above_cap_sample_rows_without_hull(self):
+        # Rank 11 sample rows, above geometry.HULL_DIM_MAX: the distance is
+        # to conv(every row), with no hull step and so no fallback warning,
+        # bitwise the value pinned when the rows went through the hull.
         rng = np.random.default_rng(61)
         ystar = rng.dirichlet(np.ones(12), size=80)
-        with pytest.warns(HullFallbackWarning, match="^hull dimension 11 above cap"):
-            value = hausdorff_to_polytope(ystar, np.eye(12), grid_subdivisions=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", HullFallbackWarning)
+            value = hausdorff_to_polytope(ystar, np.eye(12))
         assert value.hex() == "0x1.95f5a8d85b647p-1"
+
+    def test_no_hull_at_nine_sources(self, monkeypatch):
+        # (J, K) = (12, 9), n = 3000: the shape at which a qhull step on the
+        # sample rows took about a minute.  The diagnostic needs no hull.
+        def no_hull(*args, **kwargs):
+            raise AssertionError("hull_vertices called")
+
+        y, truth = make_ground_truth(3000, 12, 9, "ar1", RngSpec(1))
+        ystar = y.values / y.values.sum(axis=1, keepdims=True)
+        hstar = truth.H / truth.H.sum(axis=1, keepdims=True)
+        monkeypatch.setattr(geometry, "hull_vertices", no_hull)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", HullFallbackWarning)
+            value = hausdorff_to_polytope(ystar, hstar)
+        assert 0.0 < value < 1.0
+
+    @settings(deadline=None, max_examples=100)
+    @given(
+        d=st.integers(1, 5),
+        m=st.integers(1, 8),
+        k=st.integers(1, 4),
+        structure=st.sampled_from(["generic", "thin", "integer", "dependent"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_face_enumeration_max(self, d, m, k, structure, seed):
+        # Sample rows and profiles in R^d, lifted onto the simplex's affine
+        # span in R^(d+1) by appending 1 - (sum of coordinates).
+        rng = np.random.default_rng(seed)
+        ystar = _on_simplex(_polytope_case(rng, d, m, structure))
+        hstar = _on_simplex(rng.normal(size=(k, d)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NotContainedWarning)
+            value = hausdorff_to_polytope(ystar, hstar)
+        expected = face_enumeration_distances(hstar, ystar).max()
+        assert value == pytest.approx(expected, rel=0.0, abs=1e-12)
 
     def test_containment_count_matches_face_enumeration(self):
         rng = np.random.default_rng(11)
@@ -235,6 +269,10 @@ def _polytope_case(rng, d, m, structure):
     rank = int(rng.integers(0, max(1, min(d, m - 1))))
     base = rng.normal(size=(rank + 1, d))
     return rng.dirichlet(np.ones(rank + 1), size=m) @ base
+
+
+def _on_simplex(points):
+    return np.hstack([points, 1.0 - points.sum(axis=1, keepdims=True)])
 
 
 class TestDistancesToPolytope:
@@ -280,6 +318,28 @@ class TestDistancesToPolytope:
         whole = _distances_to_polytope(points, vertices)
         monkeypatch.setattr(evaluation, "_MNP_BLOCK_ROWS", block)
         np.testing.assert_array_equal(_distances_to_polytope(points, vertices), whole)
+
+    @pytest.mark.parametrize(
+        "seed, row", [(2, 604), (4, 1466), (14, 583), (26, 1783), (29, 919), (44, 943)]
+    )
+    def test_best_vertex_already_in_corral_ends_the_point(self, seed, row):
+        # 9-D points whose major step picks, by a rounding-level gap, a
+        # vertex already in the corral: adding a second copy made the KKT
+        # system singular (LinAlgError).
+        y, _ = make_ground_truth(2000, 30, 10, "ar1", RngSpec(seed))
+        ystar = y.values / y.values.sum(axis=1, keepdims=True)
+        z = geometry.intrinsic_projection(ystar, 9)
+        point, vertices = z[row : row + 1], z[:400]
+        # Oracle: nonnegative least squares with the weights' sum-to-one
+        # row scaled up to act as an equality constraint.
+        big = 1e6
+        weights, _ = nnls(
+            np.vstack([vertices.T, np.full((1, len(vertices)), big)]),
+            np.append(point[0], big),
+        )
+        expected = np.linalg.norm(weights @ vertices - point[0])
+        value = _distances_to_polytope(point, vertices)
+        np.testing.assert_allclose(value, [expected], rtol=0.0, atol=1e-12)
 
     def test_segment_and_square_closed_forms(self):
         segment = np.array([[0.0, 0.0, 0.0], [2.0, 0.0, 0.0]])

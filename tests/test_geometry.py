@@ -133,7 +133,10 @@ class TestHullVertices:
         # Above the cap every index is returned, a superset of the vertices.
         rng = np.random.default_rng(0)
         z = rng.normal(size=(40, geometry.HULL_DIM_MAX + 1))
-        message = "^hull dimension 9 above cap; keeping all rows as candidates$"
+        message = (
+            f"^hull dimension {geometry.HULL_DIM_MAX + 1} above cap; "
+            "keeping all rows as candidates$"
+        )
         with pytest.warns(HullFallbackWarning, match=message):
             assert hull_vertices(z).tolist() == list(range(40))
 
