@@ -327,7 +327,8 @@ def compute_phi(
     den = num.sum(axis=0)
     bad = np.flatnonzero(den <= 0.0)
     if bad.size:
-        raise ZeroDenominator(int(bad[0]))
+        j = int(bad[0])
+        raise ZeroDenominator(j, pollutant_names[j] if pollutant_names else None)
     return AttributionMatrix(num / den, source_labels, pollutant_names)
 
 

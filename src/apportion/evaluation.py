@@ -293,6 +293,9 @@ def convergence_study(design: StudyDesign, workers: int = 1) -> list[MetricsReco
         for replicate in range(design.replicates)
     ]
     runner = partial(_run_study_task, design)
+    # A fork pool starts all its workers at the first submit, so more
+    # workers than tasks would only sit idle.
+    workers = min(workers, len(tasks))
     if workers == 1:
         batches = [runner(task) for task in tasks]
     else:

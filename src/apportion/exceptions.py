@@ -44,8 +44,14 @@ class TooFewCandidates(ApportionError):
 class ZeroDenominator(ApportionError):
     """A pollutant column is unexplained by every source."""
 
-    def __init__(self, column: int, stage: str | None = None):
-        super().__init__(f"column {column} has zero attribution denominator", stage)
+    def __init__(self, column: int, name: str | None = None, stage: str | None = None):
+        label = f"column {column}" if name is None else f"column {column} ({name!r})"
+        super().__init__(
+            f"{label} has zero attribution denominator: no selected profile row"
+            " puts mass on this pollutant, as happens when values below a"
+            " detection limit are recorded as zeros",
+            stage,
+        )
         self.column = column
 
 

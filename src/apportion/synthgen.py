@@ -194,12 +194,12 @@ def simulate_log_ar1(n: int, params: LogAR1Params, rng: RngSpec) -> np.ndarray:
     """Stationary log-AR(1) emissions, one Philox substream per source.
 
     g_1k is drawn from the stationary marginal and the recursion
-    g_ik = mu_k + phi_k (g_{i-1,k} - mu_k) + eps_ik is run by linear
-    filtering; emissions are exp(g).
+    g_ik = mu_k + phi_k (g_{i-1,k} - mu_k) + eps_ik is run as one
+    lower-bidiagonal solve (LAPACK dgtsv); emissions are exp(g).
     """
     # Each scipy module is imported by the function that uses it, so
     # `import apportion` loads numpy only.
-    from scipy.signal import lfilter
+    from scipy.linalg.lapack import dgtsv
 
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -213,7 +213,19 @@ def simulate_log_ar1(n: int, params: LogAR1Params, rng: RngSpec) -> np.ndarray:
         start = gen.normal(0.0, sigma / math.sqrt(1.0 - phi * phi))
         innov = gen.normal(0.0, sigma, size=n - 1)
         driven = np.concatenate(([start], innov))
-        centered = lfilter([1.0], [1.0, -phi], driven)
+        if n == 1:
+            centered = driven
+        else:
+            # L c = driven, L unit lower bidiagonal with -phi below the
+            # diagonal.  |phi| < 1, so dgtsv never pivots: its forward sweep
+            # is c_i = driven_i - (-phi) c_{i-1}, the recursion's own product
+            # and sum, and its back substitution divides by 1 and subtracts
+            # 0, so c is bitwise the sequential recursion.
+            _, _, _, centered, info = dgtsv(
+                np.full(n - 1, -phi), np.ones(n), np.zeros(n - 1), driven
+            )
+            if info != 0:
+                raise RuntimeError(f"dgtsv failed with info={info}")
         out[:, k] = np.exp(mu + centered)
     return out
 

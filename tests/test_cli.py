@@ -275,6 +275,31 @@ def test_import_cli_loads_no_scipy_signal_or_optimize():
     assert result.stdout.strip() == ""
 
 
+def test_no_command_loads_scipy_signal(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = f"""
+import sys
+from pathlib import Path
+from apportion.cli import main
+from apportion.evaluation import StudyDesign, convergence_study
+
+out = Path({str(tmp_path)!r})
+sim, est = str(out / "sim"), str(out / "est")
+shape = ["--J", "8", "--K", "3"]
+assert main(["simulate", "--process", "ar1", "--n", "500", *shape, "--out", sim]) == 0
+assert main(["estimate", "--input", sim + "/y.csv", "--K", "3", "--out", est]) == 0
+assert main(["evaluate", "--phi-hat", est + "/phi_hat.csv",
+             "--phi-true", sim + "/phi_true.csv", "--out", str(out / "ev")]) == 0
+convergence_study(StudyDesign(J=5, K=3, n_grid=(60,), replicates=2), workers=2)
+assert "scipy.signal" not in sys.modules
+"""
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+
+
 def test_import_loads_no_scipy_and_deferred_qhull_works():
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -404,6 +429,20 @@ class TestEstimateCommand:
         assert code == 1
         err_line = capsys.readouterr().err.strip().splitlines()[-1]
         assert err_line.startswith("NegativeValue:")
+
+    def test_zero_denominator_line_names_pollutant(self, tmp_path, capsys):
+        # SO4 is nonzero only in the third row, which lies between the two
+        # extreme rows the K=2 search selects, so no profile carries it.
+        path = tmp_path / "y.csv"
+        path.write_text("a,b,SO4\n1,0,0\n0,1,0\n1,1,0.01\n2,1,0\n", encoding="utf-8")
+        code = main(["estimate", "--input", str(path), "--K", "2", "--out", str(tmp_path / "o")])
+        assert code == 1
+        err_lines = capsys.readouterr().err.strip().splitlines()
+        assert err_lines == [
+            "ZeroDenominator: [compute_phi] column 2 ('SO4') has zero attribution"
+            " denominator: no selected profile row puts mass on this pollutant,"
+            " as happens when values below a detection limit are recorded as zeros"
+        ]
 
 
 @pytest.mark.parametrize("empty", ["--phi-hat", "--phi-true"])

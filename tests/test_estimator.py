@@ -230,6 +230,17 @@ class TestComputePhi:
             compute_phi(np.array([1.0, 1.0]), h)
         assert err.value.column == 2
 
+    def test_zero_denominator_names_pollutant_and_cause(self):
+        h = np.array([[0.5, 0.0, 0.5], [0.3, 0.0, 0.7]])
+        with pytest.raises(ZeroDenominator) as err:
+            compute_phi(np.array([1.0, 1.0]), h, pollutant_names=("Al", "SO4", "Zn"))
+        assert err.value.column == 1
+        assert str(err.value) == (
+            "column 1 ('SO4') has zero attribution denominator: no selected"
+            " profile row puts mass on this pollutant, as happens when values"
+            " below a detection limit are recorded as zeros"
+        )
+
     @settings(deadline=None, max_examples=50)
     @given(st.integers(0, 2**32 - 1))
     def test_row_scaling_invariance(self, seed):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import math
 import warnings
@@ -406,6 +407,35 @@ class TestConvergenceStudy:
         design = StudyDesign(J=5, K=3, n_grid=(60,), replicates=1)
         with pytest.raises(ValueError, match="^workers must be >= 1$"):
             convergence_study(design, workers=workers)
+
+    @pytest.mark.parametrize(
+        "workers, n_grid, replicates, expected",
+        [(64, (60, 80), 2, 4), (3, (60, 80), 2, 3), (8, (60,), 1, None)],
+    )
+    def test_pool_capped_at_task_count(
+        self, monkeypatch, workers, n_grid, replicates, expected
+    ):
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        design = StudyDesign(J=5, K=3, n_grid=n_grid, replicates=replicates)
+        records = convergence_study(design, workers=workers)
+        # One task runs in-process: no pool at all.
+        assert started == ([] if expected is None else [expected])
+        assert len(records) == len(n_grid) * replicates
 
     def test_summary_rows(self, small_both):
         design, records = small_both

@@ -241,6 +241,21 @@ class TestLogAR1:
             stat = stats.kstest(np.log(w[i]), "norm", args=(0.2, sd)).statistic
             assert stat < crit
 
+    @pytest.mark.parametrize("phi", [0.8, -0.5, 0.99, 0.0])
+    @pytest.mark.parametrize("n", [1, 2, 3, 1000, 100000])
+    def test_bitwise_equals_sequential_recursion(self, n, phi):
+        params = LogAR1Params(np.full(2, phi), np.array([0.3, -0.2]), np.array([0.4, 0.15]))
+        rng = RngSpec(11)
+        w = simulate_log_ar1(n, params, rng)
+        for k in range(2):
+            gen = rng.substream(k + 1).generator()
+            sigma, mu = float(params.sigma_eps[k]), float(params.mu_g[k])
+            start = gen.normal(0.0, sigma / math.sqrt(1.0 - phi * phi))
+            driven = [start, *gen.normal(0.0, sigma, size=n - 1)]
+            centered = itertools.accumulate(driven, lambda c, x: x + phi * c)
+            expected = np.exp(mu + np.fromiter(centered, float, n))
+            assert w[:, k].tobytes() == expected.tobytes()
+
     def test_population_mean_trivial_cases(self):
         p0 = LogAR1Params(np.array([0.5]), np.array([0.0]), np.array([0.0]))
         assert population_mean_log_ar1(p0)[0] == 1.0
@@ -386,6 +401,20 @@ class TestMakeGroundTruth:
     def test_rejects_bad_process(self):
         with pytest.raises(ValueError):
             make_ground_truth(50, 8, 3, "iid", RngSpec(23))
+
+    @pytest.mark.parametrize(
+        "seed,digest",
+        [
+            (0, "193641316d516d99c31d4639bd860b2f9eee98a8d4ed3671633962a4009dbda9"),
+            (1, "ded134565870c069e59559b8d764efafc31bbd6b74c18dced847b183503b177f"),
+            (2, "9e76c97628d64c8ed2521bed2f4e06cb7ffb64880c40d8b14a3a923da6f90e2b"),
+        ],
+    )
+    def test_ar1_bytes_pinned(self, seed, digest):
+        # Digests of the output when the recursion ran through
+        # scipy.signal.lfilter.
+        y, _ = make_ground_truth(1000, 8, 3, "ar1", RngSpec(seed))
+        assert hashlib.sha256(y.values.tobytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("J,K", [(12, 6), (12, 7), (20, 8), (30, 10)])
     def test_many_sources(self, J, K):
