@@ -195,6 +195,8 @@ def _write_manifest(out_dir: Path, command: str, config: dict, outputs: list[str
 
 
 def _out_dir(arg: str) -> Path:
+    """Create ``--out``.  Each command calls this once its results are
+    computed, so a failing run leaves no directory behind."""
     path = Path(arg)
     path.mkdir(parents=True, exist_ok=True)
     return path
@@ -208,7 +210,6 @@ def _existing_file(arg: str) -> Path:
 
 
 def _cmd_simulate(args) -> int:
-    out = _out_dir(args.out)
     rng = RngSpec(args.seed)
     y, truth = make_ground_truth(
         args.n,
@@ -219,6 +220,7 @@ def _cmd_simulate(args) -> int:
         plant_corners=args.plant_corners,
     )
     source_labels = truth.phi_true.source_labels
+    out = _out_dir(args.out)
     _write_matrix(out / "y.csv", y.values, y.pollutant_names)
     _write_matrix(out / "w_true.csv", truth.W, source_labels)
     _write_labeled_matrix(out / "h_true.csv", truth.H, source_labels, y.pollutant_names)
@@ -263,10 +265,10 @@ def _study_design(args) -> StudyDesign:
 
 
 def _cmd_estimate(args) -> int:
-    out = _out_dir(args.out)
     y = load_concentrations(args.input)
     cfg = _estimator_config(args)
     est = apportion(y, cfg)
+    out = _out_dir(args.out)
     labels = est.phi_hat.source_labels
     _write_labeled_matrix(out / "phi_hat.csv", est.phi_hat.values, labels, y.pollutant_names)
     _write_labeled_matrix(out / "h_star_hat.csv", est.h_star_hat, labels, y.pollutant_names)
@@ -292,7 +294,6 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    out = _out_dir(args.out)
     phi_hat = _read_labeled_matrix(args.phi_hat)
     phi_true = _read_labeled_matrix(args.phi_true)
     alignment = align_rows(phi_true, phi_hat)
@@ -302,6 +303,7 @@ def _cmd_evaluate(args) -> int:
         "nfd": nfd(phi_true, aligned),
         "total_sq_distance": alignment.total_sq_distance,
     }
+    out = _out_dir(args.out)
     _write_rows(
         out / "metrics.csv",
         list(metrics),
@@ -334,8 +336,8 @@ def _cmd_convergence_study(args) -> int:
     design = _study_design(args)
     if args.workers < 1:
         raise ValueError("workers must be >= 1")
-    out = _out_dir(args.out)
     records = convergence_study(design, workers=args.workers)
+    out = _out_dir(args.out)
     _write_rows(
         out / "metrics.csv",
         ["n", "replicate", "nrmse", "nfd", "runtime_seconds", "search_used"],

@@ -61,9 +61,11 @@ class LogAR1Params:
         object.__setattr__(self, "sigma_eps", sig)
         if not (phi.shape == mu.shape == sig.shape) or phi.ndim != 1:
             raise ValueError("phi, mu_g, sigma_eps must be equal-length vectors")
-        if np.max(np.abs(phi)) >= 1.0:
+        if not all(np.isfinite(x).all() for x in (phi, mu, sig)):
+            raise ValueError("phi, mu_g, sigma_eps must be finite")
+        if not np.all(np.abs(phi) < 1.0):
             raise ValueError("|phi| < 1 required for stationarity")
-        if sig.min() < 0.0:
+        if not np.all(sig >= 0.0):
             raise ValueError("sigma_eps must be non-negative")
 
     @property
@@ -85,9 +87,11 @@ class LognormalMixtureParams:
         for w, m, s in zip(self.weights, self.means, self.sds):
             if not (w.shape == m.shape == s.shape) or w.ndim != 1 or w.size < 1:
                 raise ValueError("component vectors must match in length")
+            if not all(np.isfinite(x).all() for x in (w, m, s)):
+                raise ValueError("weights, means and sds must be finite")
             if abs(w.sum() - 1.0) > 1e-12 or w.min() < 0:
                 raise ValueError("weights must lie on the simplex")
-            if s.min() < 0.0:
+            if not np.all(s >= 0.0):
                 raise ValueError("component sds must be non-negative")
 
     @property

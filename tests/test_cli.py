@@ -275,24 +275,38 @@ def test_import_cli_loads_no_scipy_signal_or_optimize():
     assert result.stdout.strip() == ""
 
 
-def test_no_command_loads_scipy_signal(tmp_path):
+def test_no_command_loads_scipy_signal_or_optimize(tmp_path):
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    sim, est = tmp_path / "sim", tmp_path / "est"
+    assert main(["simulate", "--n", "500", "--J", "8", "--K", "3", "--out", str(sim)]) == 0
+    assert main(["estimate", "--input", str(sim / "y.csv"), "--K", "3", "--out", str(est)]) == 0
+    # The blocker makes an import of either module fail, also in the
+    # study's forked workers, whose sys.modules the last assert cannot see.
+    # evaluate runs first and loads no scipy at all.
     code = f"""
 import sys
 from pathlib import Path
+
+class Block:
+    def find_spec(self, name, path=None, target=None):
+        if name in ("scipy.signal", "scipy.optimize"):
+            raise ImportError(name + " is blocked")
+
+sys.meta_path.insert(0, Block())
 from apportion.cli import main
-from apportion.evaluation import StudyDesign, convergence_study
 
 out = Path({str(tmp_path)!r})
 sim, est = str(out / "sim"), str(out / "est")
+assert main(["evaluate", "--phi-hat", est + "/phi_hat.csv",
+             "--phi-true", sim + "/phi_true.csv", "--out", str(out / "ev")]) == 0
+assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
 shape = ["--J", "8", "--K", "3"]
 assert main(["simulate", "--process", "ar1", "--n", "500", *shape, "--out", sim]) == 0
 assert main(["estimate", "--input", sim + "/y.csv", "--K", "3", "--out", est]) == 0
-assert main(["evaluate", "--phi-hat", est + "/phi_hat.csv",
-             "--phi-true", sim + "/phi_true.csv", "--out", str(out / "ev")]) == 0
-convergence_study(StudyDesign(J=5, K=3, n_grid=(60,), replicates=2), workers=2)
-assert "scipy.signal" not in sys.modules
+assert main(["convergence-study", "--J", "5", "--K", "3", "--n-grid", "60",
+             "--replicates", "2", "--workers", "2", "--out", str(out / "study")]) == 0
+assert "scipy.signal" not in sys.modules and "scipy.optimize" not in sys.modules
 """
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
@@ -429,6 +443,22 @@ class TestEstimateCommand:
         assert code == 1
         err_line = capsys.readouterr().err.strip().splitlines()[-1]
         assert err_line.startswith("NegativeValue:")
+
+    @pytest.mark.parametrize(
+        "body,k,category",
+        [
+            ("a,b,SO4\n1,0,0\n0,1,0\n1,1,0.01\n2,1,0\n", "2", "ZeroDenominator"),
+            ("a,b,c,d\n1,0,1,1\n0,1,1,1\n1,1,2,2\n2,1,3,3\n", "3", "DegenerateCloud"),
+        ],
+        ids=["zero-denominator", "degenerate-cloud"],
+    )
+    def test_failed_run_leaves_no_out_dir(self, tmp_path, capsys, body, k, category):
+        path = tmp_path / "y.csv"
+        path.write_text(body, encoding="utf-8")
+        out = tmp_path / "o" / "nested"
+        assert main(["estimate", "--input", str(path), "--K", k, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(category + ":")
+        assert not (tmp_path / "o").exists()
 
     def test_zero_denominator_line_names_pollutant(self, tmp_path, capsys):
         # SO4 is nonzero only in the third row, which lies between the two

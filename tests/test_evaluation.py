@@ -82,6 +82,38 @@ class TestAlignRows:
         with pytest.raises(ShapeMismatch):
             align_rows(np.ones((2, 3)), np.ones((3, 3)))
 
+    @pytest.mark.parametrize("kind", ["random", "integer", "duplicated"])
+    def test_matches_scipy_oracle(self, kind):
+        # Random costs have a unique optimum, so the permutation must match;
+        # integer costs and duplicated rows tie, so only the total must.
+        rng = np.random.default_rng(["random", "integer", "duplicated"].index(kind))
+        for _ in range(10):
+            for k in range(1, 31):
+                j = int(rng.integers(1, 10))
+                if kind == "integer":
+                    a, b = rng.integers(0, 3, size=(2, k, j)).astype(float)
+                else:
+                    a, b = rng.uniform(size=(2, k, j))
+                if kind == "duplicated":
+                    b = a[rng.permutation(k)]
+                    b[rng.integers(k)] = b[rng.integers(k)]
+                cost = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+                rows, cols = linear_sum_assignment(cost)
+                result = align_rows(a, b)
+                assert sorted(result.permutation) == list(range(k))
+                expected = float(cost[rows, cols].sum())
+                assert result.total_sq_distance.hex() == expected.hex()
+                if kind == "random":
+                    assert result.permutation == tuple(cols.tolist())
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_non_finite_raises_value_error(self, bad, side):
+        pair = [np.ones((3, 2)), np.zeros((3, 2))]
+        pair[side][1, 0] = bad
+        with pytest.raises(ValueError, match="invalid numeric entries"):
+            align_rows(*pair)
+
 
 class TestMetrics:
     def test_zero_when_equal(self):

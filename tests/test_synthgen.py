@@ -267,6 +267,25 @@ class TestLogAR1:
             LogAR1Params(np.array([1.0]), np.array([0.0]), np.array([0.2]))
 
 
+_VALID_PARAMS = {
+    LogAR1Params: dict(phi=[0.8, 0.5], mu_g=[0.1, -0.2], sigma_eps=[0.3, 0.2]),
+    LognormalMixtureParams: dict(weights=[0.4, 0.6], means=[0.0, 1.0], sds=[0.5, 0.2]),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "cls,field", [(cls, field) for cls, fields in _VALID_PARAMS.items() for field in fields]
+)
+def test_params_reject_non_finite(cls, field, bad):
+    values = {name: np.array(v) for name, v in _VALID_PARAMS[cls].items()}
+    values[field][1] = bad
+    if cls is LognormalMixtureParams:
+        values = {name: (v,) for name, v in values.items()}
+    with pytest.raises(ValueError):
+        cls(**values)
+
+
 class TestDrawAR1Params:
     def test_paper_ranges(self):
         params = draw_ar1_params(50, RngSpec(8))
