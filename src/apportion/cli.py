@@ -10,6 +10,7 @@ and exit nonzero.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -23,7 +24,6 @@ import numpy as np
 from .estimator import (
     MEAN_METHODS,
     SEARCH_MODES,
-    ZERO_ROW_POLICIES,
     ConcentrationMatrix,
     EstimatorConfig,
     apportion,
@@ -87,7 +87,7 @@ def _write_labeled_matrix(path: Path, matrix: np.ndarray, labels, names) -> None
 def _read_labeled_matrix(path: Path):
     """The values of a ``source,<names>`` CSV, read by the cell-wise
     parser's row and cell rules (any finite value is allowed)."""
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -128,39 +128,27 @@ def _number(cell: str, line_no: int, col_no: int) -> float:
 def load_concentrations(path: str | Path) -> ConcentrationMatrix:
     """Parse a concentration CSV: header of pollutant names, numeric body.
 
-    The header is read by ``csv.reader`` and the body by ``np.loadtxt``.
-    That result is kept only when it has at least one row of the header's
-    width and every value is finite and non-negative; loadtxt converts
+    A UTF-8 byte-order mark before the header is skipped.  The header is
+    read by ``csv.reader`` and the body by ``np.loadtxt``, which converts
     decimals with correct rounding, so the values are bitwise those of
-    ``float(cell)``.  Otherwise the cell-wise parser reads the file again
-    and raises the error, with 1-based (line, column) coordinates, for
-    negatives, non-finite values and malformed cells or rows.
+    ``float(cell)``.  Where loadtxt or ``ConcentrationMatrix`` rejects the
+    body, the cell-wise parser reads the file again and raises the error:
+    ParseError and its subclasses, with 1-based (line, column)
+    coordinates, or ``ConcentrationMatrix``'s ValueError.
     """
-    with open(Path(path), encoding="utf-8", newline="") as fh:
+    with open(Path(path), encoding="utf-8-sig", newline="") as fh:
         names = next(csv.reader(fh), None)
         if names is not None:
-            values = _loadtxt_body(fh, len(names))
-            if values is not None:
-                return ConcentrationMatrix(values, tuple(names))
+            # A file with no data rows warns; the cell-wise parser reports it.
+            with contextlib.suppress(ValueError), warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                values = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+                # ConcentrationMatrix rejects an empty body, but it names
+                # the columns of an empty header itself.
+                if values.shape[1] == len(names):
+                    return ConcentrationMatrix(values, tuple(names))
         fh.seek(0)
         return _load_cellwise(fh)
-
-
-def _loadtxt_body(fh, width: int) -> np.ndarray | None:
-    """The rest of ``fh`` as an (n, width) array, or None if it is not a
-    valid body."""
-    try:
-        with warnings.catch_warnings():
-            # A file with no data rows warns; the cell-wise parser reports it.
-            warnings.simplefilter("ignore")
-            values = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, dtype=float)
-    except ValueError:
-        return None
-    if values.shape[0] == 0 or values.shape[1] != width:
-        return None
-    if not np.isfinite(values).all() or (values < 0).any():
-        return None
-    return values
 
 
 def _load_cellwise(fh) -> ConcentrationMatrix:
@@ -391,11 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--search", choices=SEARCH_MODES, default=EstimatorConfig.search)
     est.add_argument(
         "--mean-method", choices=MEAN_METHODS, default=EstimatorConfig.mean_method
-    )
-    est.add_argument(
-        "--zero-row-policy",
-        choices=ZERO_ROW_POLICIES,
-        default=EstimatorConfig.zero_row_policy,
     )
     est.add_argument("--out", required=True)
     est.set_defaults(func=_cmd_estimate)

@@ -12,6 +12,7 @@ randomness and breaks all ties by smallest index.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -27,15 +28,21 @@ from .exceptions import (
     NegativeMeanWarning,
     TooFewCandidates,
     ZeroDenominator,
-    ZeroRow,
 )
 from .geometry import VertexSubset
 
 SEARCH_MODES = ("auto", "greedy", "exhaustive")
 MEAN_METHODS = ("direct", "projected")
-ZERO_ROW_POLICIES = ("drop", "error")
 # Floor of the projected route's raw weights before renormalizing.
 _WEIGHT_FLOOR = 1e-10
+
+
+def check_integer(name: str, value) -> int:
+    """``value`` as an int; ValueError unless it is an integer, such as a
+    Python or numpy int, and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _default_names(prefix: str, count: int) -> tuple[str, ...]:
@@ -93,17 +100,15 @@ class EstimatorConfig:
     K: int
     search: str = "auto"
     mean_method: str = "direct"
-    zero_row_policy: str = "drop"
 
     def __post_init__(self):
+        object.__setattr__(self, "K", check_integer("K", self.K))
         if self.K < 1:
             raise ValueError("K must be >= 1")
         if self.search not in SEARCH_MODES:
             raise ValueError(f"search must be one of {SEARCH_MODES}")
         if self.mean_method not in MEAN_METHODS:
             raise ValueError(f"mean_method must be one of {MEAN_METHODS}")
-        if self.zero_row_policy not in ZERO_ROW_POLICIES:
-            raise ValueError(f"zero_row_policy must be one of {ZERO_ROW_POLICIES}")
 
 
 @dataclass(frozen=True)
@@ -193,23 +198,18 @@ def _stage(name: str):
         raise
 
 
-def row_normalize(
-    y: ConcentrationMatrix, zero_row_policy: str = "drop"
-) -> RowNormalizedData:
+def row_normalize(y: ConcentrationMatrix) -> RowNormalizedData:
     """Split Y into row sums r and the row-stochastic matrix Y*.
 
-    Rows with zero sum are dropped (with a warning) or raise ZeroRow
-    depending on the policy.  Some row always remains: ConcentrationMatrix
-    requires a positive entry in every column.
+    A row with zero sum has no direction, so it is dropped, with a
+    DroppedRowsWarning; ``kept_rows`` maps the remaining rows back to Y.
+    Some row always remains: ConcentrationMatrix requires a positive entry
+    in every column.
     """
-    if zero_row_policy not in ZERO_ROW_POLICIES:
-        raise ValueError(f"zero_row_policy must be one of {ZERO_ROW_POLICIES}")
     vals = y.values
     sums = vals.sum(axis=1)
     zero = sums <= 0.0
     if zero.any():
-        if zero_row_policy == "error":
-            raise ZeroRow(f"row {int(np.flatnonzero(zero)[0])} sums to zero")
         warnings.warn(
             f"dropped {int(zero.sum())} zero-concentration rows",
             DroppedRowsWarning,
@@ -230,7 +230,9 @@ def extract_candidates(data: RowNormalizedData, cfg: EstimatorConfig) -> Candida
     HullFallbackWarning itself.
 
     Raises DegenerateCloud when the rows span fewer than K - 1 dimensions:
-    no K of them then span a simplex, however rounding scores it.
+    no K of them then span a simplex, however rounding scores it.  A cloud
+    of full rank K - 1 has at least K hull vertices, so there are always
+    at least K candidates.
     """
     n = data.ystar.shape[0]
     if n < cfg.K + 1:
@@ -241,10 +243,6 @@ def extract_candidates(data: RowNormalizedData, cfg: EstimatorConfig) -> Candida
             f"rows span {z.shape[1]} dimensions; K={cfg.K} sources need {cfg.K - 1}"
         )
     idx = geometry.hull_vertices(z)
-    if idx.size < cfg.K:
-        raise TooFewCandidates(
-            f"{idx.size} candidates for K={cfg.K}; hull has too few vertices"
-        )
     return CandidateSet(ystar=data.ystar[idx], indices=idx, z=z[idx])
 
 
@@ -348,7 +346,7 @@ def apportion(y: ConcentrationMatrix, cfg: EstimatorConfig) -> ApportionmentEsti
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with _stage("row_normalize"):
-            data = row_normalize(y, cfg.zero_row_policy)
+            data = row_normalize(y)
         if cfg.K == 1:
             hstar, subset, used, cands = _single_source_profile(data)
         else:

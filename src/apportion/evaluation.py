@@ -18,7 +18,7 @@ from functools import partial
 import numpy as np
 
 from . import geometry
-from .estimator import ApportionmentEstimate, EstimatorConfig, apportion
+from .estimator import ApportionmentEstimate, EstimatorConfig, apportion, check_integer
 from .exceptions import (
     ApportionError,
     NotContainedWarning,
@@ -69,7 +69,10 @@ class StudyDesign:
     master_seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
+        for name in ("J", "K", "replicates"):
+            object.__setattr__(self, name, check_integer(name, getattr(self, name)))
+        n_grid = tuple(check_integer("n_grid entry", n) for n in self.n_grid)
+        object.__setattr__(self, "n_grid", n_grid)
         if self.process not in PROCESSES:
             raise ValueError(f"process must be one of {PROCESSES}")
         if self.search not in STUDY_SEARCHES:

@@ -33,12 +33,8 @@ class AllDegenerate(ApportionError):
     """No K-subset of the candidates spans a non-degenerate simplex."""
 
 
-class ZeroRow(ApportionError):
-    """A data row sums to zero under the 'error' zero-row policy."""
-
-
 class TooFewCandidates(ApportionError):
-    """Fewer hull candidates than requested sources."""
+    """Fewer than K + 1 data rows for K sources."""
 
 
 class ZeroDenominator(ApportionError):

@@ -289,9 +289,10 @@ def _branch_and_bound(
 def max_volume_exhaustive(candidates: np.ndarray, k: int) -> VertexSubset:
     """Globally best K-subset by simplex volume, by exhaustive branch and bound.
 
-    The seed is the exact score of the greedy search's subset (-inf when
-    greedy finds none).  Prefixes are extended in lexicographic order, a
-    bounded run at a time; a prefix is dropped when
+    The seed is the greedy search's ``log_volume``: its subset scored
+    exactly, with the indices sorted as below (-inf when greedy finds
+    none).  Prefixes are extended in lexicographic order, a bounded run at
+    a time; a prefix is dropped when
     (det + _SCREEN_SLACK * had) * R2(a)**(K - 1 - j) is below the
     determinant of max(seed, best exact score so far), with j its edge
     count and R2(a) the largest |x - p_a|^2 over later x.  The survivors
@@ -314,8 +315,7 @@ def max_volume_exhaustive(candidates: np.ndarray, k: int) -> VertexSubset:
         raise BudgetExceeded(f"{total} subsets exceed budget {EXHAUSTIVE_BUDGET}")
 
     try:
-        seed_rows = np.asarray([sorted(max_volume_greedy(pts, k).indices)], dtype=np.intp)
-        seed = float(_batch_log_volumes(pts, seed_rows)[0])
+        seed = max_volume_greedy(pts, k).log_volume
     except AllDegenerate:
         seed = -math.inf
     best, best_lv = _branch_and_bound(pts, k, seed)

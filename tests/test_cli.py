@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -63,6 +64,25 @@ class TestLoadConcentrations:
         with pytest.raises(ParseError):
             load_concentrations(path)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "P1,P2\n1,2\n3,4.5\n",
+            "P1,P2\r\n1,2\r\n",
+            "P1,P2\n1,-2\n",
+            "P1,P2\n1,x\n",
+            "P1\n",
+        ],
+        ids=["valid", "crlf", "negative", "not-a-number", "no-rows"],
+    )
+    def test_byte_order_mark_is_skipped(self, tmp_path, text):
+        # Excel's "CSV UTF-8" export starts the file with U+FEFF.
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text("\ufeff" + text, encoding="utf-8")
+        outcome = load_outcome(load_concentrations, marked)
+        assert outcome == load_outcome(load_concentrations, plain)
+
     def test_round_trip_after_simulate(self, tmp_path):
         out = tmp_path / "sim"
         assert main(
@@ -97,7 +117,7 @@ def load_outcome(load, path):
 
 
 def load_cellwise(path):
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         return cli._load_cellwise(fh)
 
 
@@ -190,6 +210,7 @@ class TestLoaderMatchesCellwiseParser:
             "a,b\n1,2\n#3,4\n",
             "a,b\n0,-0.0\n",
             "a,b\n1,-2\n",
+            "a,b\n0,1\n0,2\n",
             *(f"a,b\n1,{cell}\n" for cell in ODD_CELLS),
         ],
     )
@@ -473,6 +494,99 @@ class TestEstimateCommand:
             " denominator: no selected profile row puts mass on this pollutant,"
             " as happens when values below a detection limit are recorded as zeros"
         ]
+
+
+# sha256 of each output of the runs in test_estimate_bytes_pinned: a
+# change to any byte that `estimate` writes, other than the manifest, fails.
+DIGESTS_DEFAULTS = {
+    "phi_hat.csv": "75ac6aba4456eb26fd75e7e076ef26105d016adfcca1f098c956442df230a921",
+    "h_star_hat.csv": "fc3347a52b56120e784e667f939e385f93be1e46e0374d7c3f42bcd620872b79",
+    "m_tilde.csv": "7c84f3cc75d2f2bdc70561bdd968eea5b7d3e03463e9b30e36eebbfb09a7bcf0",
+    "diagnostics.json": "37cea04e0f8ff5ce6d53e9b419410f72369cb0be2926463b30843e7082795116",
+    "hull_scatter.csv": "0d3ff03a855ae3bc2cb09f8fe9380bb7411f615ae6d90182b1a4a7bb78ac1838",
+}
+
+DIGESTS_GREEDY = {
+    "phi_hat.csv": "2faf8b896aaa728cfa49c3d03dcae2edcf9657e4f5f1ed650f1fbddbedff133e",
+    "h_star_hat.csv": "8f2f819d133bad2e72a2d658eb78c421197008eb85e35b109d6c8053b91d5b32",
+    "m_tilde.csv": "350d2ff61557cbf243f7cec375fc22f97578ef0360c9c8067d177d54c7598f53",
+    "diagnostics.json": "ae1463ac11ba5de3510e9445060b0329fc69151f68c609e6b331c5df3d77c0de",
+    "hull_scatter.csv": "225785358fe7218c6d37c5b1c04ca97cc6fae3836acb1a080f2ef8404537ca0d",
+}
+
+DIGESTS_ABOVE_CAP = {
+    "phi_hat.csv": "d085b00f9f038768a384932b8f7be8f3d56b2813749f191b1fc5919817ef576c",
+    "h_star_hat.csv": "3b980dcb620e9c4bc2ffb48ba8f51e9556dbb741c46fe6e2a2b92e51c5dd2ae7",
+    "m_tilde.csv": "2e1f8017653bcf1b412cadfd1b8ec02151037dc1f71e52867a5ed3ea8c7b1795",
+    "diagnostics.json": "7fc283cb26e2f5b49b5939e240d3fc698d7ba1bf835d1565f5eb7129f0903eaa",
+    "hull_scatter.csv": "e4b1945da27a1d1cbac03affbcc62759892b130b8031ec1c830ee50c1942ca01",
+}
+
+DIGESTS_ZERO_ROW = {
+    "phi_hat.csv": "f0276d27c8b973ce920fe611b7dfee1680d35dc07972857cd6ed1e78d379e882",
+    "h_star_hat.csv": "fc3347a52b56120e784e667f939e385f93be1e46e0374d7c3f42bcd620872b79",
+    "m_tilde.csv": "a2b03decbeb98996505aad12d211f5fba3a27d329a3fbcc35a92692fd6f76f10",
+    "diagnostics.json": "caab533125d17db90bddcf9448edf7ef1cf885a62181d0acf0a5693740c4f692",
+    "hull_scatter.csv": "0d3ff03a855ae3bc2cb09f8fe9380bb7411f615ae6d90182b1a4a7bb78ac1838",
+}
+
+@pytest.mark.parametrize(
+    "simulate,flags,zero_row,digests,stderr",
+    [
+        (
+            ["--process", "ar1", "--J", "8", "--K", "3", "--n", "2000", "--seed", "1"],
+            [],
+            False,
+            DIGESTS_DEFAULTS,
+            "",
+        ),
+        (
+            ["--process", "mixture", "--J", "8", "--K", "4", "--n", "1500", "--seed", "2"],
+            ["--search", "greedy", "--mean-method", "projected"],
+            False,
+            DIGESTS_GREEDY,
+            "",
+        ),
+        (
+            ["--process", "ar1", "--J", "12", "--K", "10", "--n", "300", "--seed", "3"],
+            [],
+            False,
+            DIGESTS_ABOVE_CAP,
+            "warning: hull dimension 9 above cap; keeping all rows as candidates\n"
+            "warning: negative mean estimates clipped to zero\n",
+        ),
+        (
+            ["--process", "ar1", "--J", "8", "--K", "3", "--n", "2000", "--seed", "1"],
+            [],
+            True,
+            DIGESTS_ZERO_ROW,
+            "warning: dropped 1 zero-concentration rows\n",
+        ),
+    ],
+    ids=["defaults", "greedy-projected", "above-hull-cap", "zero-row"],
+)
+def test_estimate_bytes_pinned(tmp_path, capsys, simulate, flags, zero_row, digests, stderr):
+    sim = tmp_path / "sim"
+    assert main(["simulate", *simulate, "--out", str(sim)]) == 0
+    y_path = sim / "y.csv"
+    if zero_row:
+        # An all-zero third data row.  It is dropped with a warning, and
+        # hull_scatter.csv, which numbers the kept rows, equals the
+        # defaults run's.
+        lines = y_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        width = len(lines[0].split(","))
+        lines.insert(3, ",".join(["0"] * width) + "\n")
+        y_path.write_text("".join(lines), encoding="utf-8")
+    capsys.readouterr()
+    k = simulate[simulate.index("--K") + 1]
+    est = tmp_path / "est"
+    assert main(["estimate", "--input", str(y_path), "--K", k, *flags, "--out", str(est)]) == 0
+    assert capsys.readouterr().err == stderr
+    got = {
+        name: hashlib.sha256((est / name).read_bytes()).hexdigest()
+        for name in digests
+    }
+    assert got == digests
 
 
 @pytest.mark.parametrize("empty", ["--phi-hat", "--phi-true"])

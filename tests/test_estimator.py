@@ -28,7 +28,6 @@ from apportion.exceptions import (
     NegativeMeanWarning,
     TooFewCandidates,
     ZeroDenominator,
-    ZeroRow,
 )
 from apportion.synthgen import RngSpec, make_ground_truth, true_phi
 
@@ -52,15 +51,10 @@ class TestRowNormalize:
     def test_zero_row_dropped_with_warning(self):
         y = ConcentrationMatrix(np.array([[0.0, 0.0], [1.0, 3.0]]))
         with pytest.warns(DroppedRowsWarning):
-            data = row_normalize(y, zero_row_policy="drop")
+            data = row_normalize(y)
         assert data.ystar.tolist() == [[0.25, 0.75]]
         assert data.row_sums.tolist() == [4.0]
         assert data.kept_rows.tolist() == [1]
-
-    def test_zero_row_policy_error(self):
-        y = ConcentrationMatrix(np.array([[0.0, 0.0], [1.0, 3.0]]))
-        with pytest.raises(ZeroRow):
-            row_normalize(y, zero_row_policy="error")
 
     def test_round_trip_recovers_scales(self):
         rng = np.random.default_rng(2)
@@ -367,6 +361,15 @@ class TestConfigValidation:
     def test_rejects_bad_search(self):
         with pytest.raises(ValueError):
             EstimatorConfig(K=3, search="random")
+
+    @pytest.mark.parametrize("k", [3.0, np.float64(3.0), "3", True])
+    def test_k_must_be_an_integer(self, k):
+        with pytest.raises(ValueError, match="K must be an integer"):
+            EstimatorConfig(K=k)
+
+    def test_numpy_integer_k_becomes_int(self):
+        cfg = EstimatorConfig(K=np.int64(3))
+        assert type(cfg.K) is int and cfg == EstimatorConfig(K=3)
 
     def test_k_must_be_below_j(self):
         y = ConcentrationMatrix(np.ones((10, 3)) + np.eye(10, 3))

@@ -488,6 +488,28 @@ class TestConvergenceStudy:
         with pytest.raises(ValueError, match="n_grid entry"):
             StudyDesign(n_grid=(200, 0))
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("J", 8.0),
+            ("K", 3.5),
+            ("replicates", 1.5),
+            ("n_grid", (100.7, "300")),
+            ("n_grid", (100, True)),
+        ],
+    )
+    def test_sizes_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match="must be an integer"):
+            StudyDesign(**{field: value})
+
+    def test_numpy_integer_sizes_become_ints(self):
+        design = StudyDesign(
+            J=np.int64(8), K=np.int32(3), n_grid=(np.int64(100),), replicates=np.int64(2)
+        )
+        assert design == StudyDesign(n_grid=(100,), replicates=2)
+        sizes = [design.J, design.K, design.replicates, *design.n_grid]
+        assert all(type(v) is int for v in sizes)
+
     def test_failures_recorded_not_fatal(self):
         design = StudyDesign(
             process="ar1", J=6, K=3, n_grid=(3, 60), replicates=2, master_seed=5
