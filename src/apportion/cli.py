@@ -21,13 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimator import (
-    MEAN_METHODS,
-    SEARCH_MODES,
-    ConcentrationMatrix,
-    EstimatorConfig,
-    apportion,
-)
+from .estimator import SEARCH_MODES, ConcentrationMatrix, EstimatorConfig, apportion
 from .evaluation import (
     STUDY_SEARCHES,
     MetricsRecord,
@@ -38,7 +32,13 @@ from .evaluation import (
     nrmse,
     summarize_records,
 )
-from .exceptions import ApportionError, NegativeValue, NonFinite, ParseError
+from .exceptions import (
+    ApportionError,
+    NegativeValue,
+    NonFinite,
+    ParseError,
+    ShapeMismatch,
+)
 from .synthgen import PROCESSES, RngSpec, make_ground_truth
 
 _FMT = "%.17g"
@@ -84,9 +84,10 @@ def _write_labeled_matrix(path: Path, matrix: np.ndarray, labels, names) -> None
     _write_rows(path, ["source"] + list(names), rows)
 
 
-def _read_labeled_matrix(path: Path):
-    """The values of a ``source,<names>`` CSV, read by the cell-wise
-    parser's row and cell rules (any finite value is allowed)."""
+def _read_labeled_matrix(path: Path) -> tuple[list[str], np.ndarray]:
+    """The column names and values of a ``source,<names>`` CSV, read by
+    the cell-wise parser's row and cell rules (any finite value is
+    allowed)."""
     with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -96,7 +97,18 @@ def _read_labeled_matrix(path: Path):
             [_number(c, line_no, col) for col, c in enumerate(row[1:], start=2)]
             for line_no, row in _data_rows(reader, len(header))
         ]
-    return np.asarray(rows)
+    return header[1:], np.asarray(rows)
+
+
+def _column_order(names: list[str], reference: list[str]) -> list[int]:
+    """Indices that put the columns called ``names`` in ``reference``'s
+    order.  ShapeMismatch unless both lists name the same columns, each
+    once."""
+    if len(set(names)) != len(names) or sorted(names) != sorted(reference):
+        raise ShapeMismatch(
+            f"pollutant names {names} and {reference} must match, each once"
+        )
+    return [names.index(name) for name in reference]
 
 
 def _data_rows(reader, width: int):
@@ -282,8 +294,11 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    phi_hat = _read_labeled_matrix(args.phi_hat)
-    phi_true = _read_labeled_matrix(args.phi_true)
+    hat_names, phi_hat = _read_labeled_matrix(args.phi_hat)
+    true_names, phi_true = _read_labeled_matrix(args.phi_true)
+    # np.take returns a C-ordered copy (fancy indexing gives Fortran order),
+    # so the metrics sum in the same order as for an unpermuted file.
+    phi_hat = np.take(phi_hat, _column_order(hat_names, true_names), axis=1)
     alignment = align_rows(phi_true, phi_hat)
     aligned = phi_hat[list(alignment.permutation)]
     metrics = {
@@ -377,9 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--input", type=_existing_file, required=True)
     est.add_argument("--K", type=int, required=True)
     est.add_argument("--search", choices=SEARCH_MODES, default=EstimatorConfig.search)
-    est.add_argument(
-        "--mean-method", choices=MEAN_METHODS, default=EstimatorConfig.mean_method
-    )
     est.add_argument("--out", required=True)
     est.set_defaults(func=_cmd_estimate)
 

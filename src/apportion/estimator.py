@@ -3,8 +3,9 @@
 The pipeline: row-normalize the concentration matrix, project the
 normalized rows into their intrinsic span, take the convex-hull vertices
 as candidates, pick the max-volume K-subset as the profile estimate,
-recover the scaled emission means through the affine right inverse, and
-form the column-stochastic attribution matrix.
+recover the scaled emission means from the mean row of Y through the
+profile estimate's affine right inverse, and form the column-stochastic
+attribution matrix.
 
 ``apportion`` is a pure, deterministic function of (Y, config): it uses no
 randomness and breaks all ties by smallest index.
@@ -32,9 +33,6 @@ from .exceptions import (
 from .geometry import VertexSubset
 
 SEARCH_MODES = ("auto", "greedy", "exhaustive")
-MEAN_METHODS = ("direct", "projected")
-# Floor of the projected route's raw weights before renormalizing.
-_WEIGHT_FLOOR = 1e-10
 
 
 def check_integer(name: str, value) -> int:
@@ -89,7 +87,6 @@ class RowNormalizedData:
     """Row-stochastic view of the kept (positive-sum) rows."""
 
     ystar: np.ndarray  # (n', J)
-    row_sums: np.ndarray  # (n',)
     kept_rows: np.ndarray  # (n',) indices into the original rows
 
 
@@ -99,7 +96,6 @@ class EstimatorConfig:
 
     K: int
     search: str = "auto"
-    mean_method: str = "direct"
 
     def __post_init__(self):
         object.__setattr__(self, "K", check_integer("K", self.K))
@@ -107,8 +103,6 @@ class EstimatorConfig:
             raise ValueError("K must be >= 1")
         if self.search not in SEARCH_MODES:
             raise ValueError(f"search must be one of {SEARCH_MODES}")
-        if self.mean_method not in MEAN_METHODS:
-            raise ValueError(f"mean_method must be one of {MEAN_METHODS}")
 
 
 @dataclass(frozen=True)
@@ -199,7 +193,7 @@ def _stage(name: str):
 
 
 def row_normalize(y: ConcentrationMatrix) -> RowNormalizedData:
-    """Split Y into row sums r and the row-stochastic matrix Y*.
+    """The row-stochastic matrix Y*: each row of Y over its sum.
 
     A row with zero sum has no direction, so it is dropped, with a
     DroppedRowsWarning; ``kept_rows`` maps the remaining rows back to Y.
@@ -216,11 +210,7 @@ def row_normalize(y: ConcentrationMatrix) -> RowNormalizedData:
             stacklevel=2,
         )
     kept = np.flatnonzero(~zero)
-    return RowNormalizedData(
-        ystar=vals[kept] / sums[kept, None],
-        row_sums=sums[kept],
-        kept_rows=kept,
-    )
+    return RowNormalizedData(ystar=vals[kept] / sums[kept, None], kept_rows=kept)
 
 
 def extract_candidates(data: RowNormalizedData, cfg: EstimatorConfig) -> CandidateSet:
@@ -274,38 +264,24 @@ def estimate_H_star(
     return candidates.ystar[list(subset.indices)], subset, used
 
 
-def estimate_mu_tilde(
-    y: ConcentrationMatrix,
-    data: RowNormalizedData,
-    hstar_hat: np.ndarray,
-    cfg: EstimatorConfig,
-) -> np.ndarray:
-    """Scaled emission means, by the right-inverse identity or the
-    projected-weights route.
+def estimate_mu_tilde(y: ConcentrationMatrix, hstar_hat: np.ndarray) -> np.ndarray:
+    """Scaled emission means by the right-inverse identity.
 
-    "direct": m^T = [col-mean(Y), total] @ R, negatives clipped to 0.
-    "projected": W*_raw = [Y* | 1] @ R, clipped below at ``_WEIGHT_FLOOR``,
-    rows renormalized, then column means of diag(r) W*.  Both agree (to
-    1e-8) on noiseless data whose raw weights need no clipping.
+    m^T = [col-mean(Y), mean row sum] @ R, with R the affine right inverse
+    of ``hstar_hat``; negative entries, from mean rows outside the cone of
+    the profile rows, are clipped to 0 with a NegativeMeanWarning.
     """
-    hstar_hat = np.asarray(hstar_hat, dtype=float)
-    rinv = geometry.affine_right_inverse(hstar_hat)
-    if cfg.mean_method == "direct":
-        ybar = y.values.mean(axis=0)
-        m = np.concatenate([ybar, [ybar.sum()]]) @ rinv
-        if (m < 0).any():
-            warnings.warn(
-                "negative mean estimates clipped to zero",
-                NegativeMeanWarning,
-                stacklevel=2,
-            )
-            m = np.clip(m, 0.0, None)
-        return m
-    ystar_aug = np.hstack([data.ystar, np.ones((data.ystar.shape[0], 1))])
-    w_raw = ystar_aug @ rinv
-    w = np.maximum(w_raw, _WEIGHT_FLOOR)
-    w /= w.sum(axis=1, keepdims=True)
-    return (data.row_sums[:, None] * w).mean(axis=0)
+    rinv = geometry.affine_right_inverse(np.asarray(hstar_hat, dtype=float))
+    ybar = y.values.mean(axis=0)
+    m = np.concatenate([ybar, [ybar.sum()]]) @ rinv
+    if (m < 0).any():
+        warnings.warn(
+            "negative mean estimates clipped to zero",
+            NegativeMeanWarning,
+            stacklevel=2,
+        )
+        m = np.clip(m, 0.0, None)
+    return m
 
 
 def compute_phi(
@@ -355,7 +331,7 @@ def apportion(y: ConcentrationMatrix, cfg: EstimatorConfig) -> ApportionmentEsti
             with _stage("estimate_H_star"):
                 hstar, subset, used = estimate_H_star(data, cfg, cands)
         with _stage("estimate_mu_tilde"):
-            m_tilde = estimate_mu_tilde(y, data, hstar, cfg)
+            m_tilde = estimate_mu_tilde(y, hstar)
         with _stage("compute_phi"):
             phi = compute_phi(m_tilde, hstar, pollutant_names=y.pollutant_names)
 

@@ -69,7 +69,7 @@ class StudyDesign:
     master_seed: int = 0
 
     def __post_init__(self):
-        for name in ("J", "K", "replicates"):
+        for name in ("J", "K", "replicates", "master_seed"):
             object.__setattr__(self, name, check_integer(name, getattr(self, name)))
         n_grid = tuple(check_integer("n_grid entry", n) for n in self.n_grid)
         object.__setattr__(self, "n_grid", n_grid)
@@ -83,6 +83,10 @@ class StudyDesign:
             raise ValueError("need at least one replicate and one sample size")
         if min(self.n_grid) < 1:
             raise ValueError("every n_grid entry must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError(
+                f"master_seed must be an integer >= 0, got {self.master_seed}"
+            )
 
 
 def align_rows(phi_true: np.ndarray, phi_hat: np.ndarray) -> AlignmentResult:

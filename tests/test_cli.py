@@ -507,9 +507,9 @@ DIGESTS_DEFAULTS = {
 }
 
 DIGESTS_GREEDY = {
-    "phi_hat.csv": "2faf8b896aaa728cfa49c3d03dcae2edcf9657e4f5f1ed650f1fbddbedff133e",
+    "phi_hat.csv": "db92afe60bf83226ff38f300d65543783728711dc054507ec7d36b596899f5e6",
     "h_star_hat.csv": "8f2f819d133bad2e72a2d658eb78c421197008eb85e35b109d6c8053b91d5b32",
-    "m_tilde.csv": "350d2ff61557cbf243f7cec375fc22f97578ef0360c9c8067d177d54c7598f53",
+    "m_tilde.csv": "498942f378b2e23e859e9af126d198981de1ea678247768b6b8392cfa8470114",
     "diagnostics.json": "ae1463ac11ba5de3510e9445060b0329fc69151f68c609e6b331c5df3d77c0de",
     "hull_scatter.csv": "225785358fe7218c6d37c5b1c04ca97cc6fae3836acb1a080f2ef8404537ca0d",
 }
@@ -542,7 +542,7 @@ DIGESTS_ZERO_ROW = {
         ),
         (
             ["--process", "mixture", "--J", "8", "--K", "4", "--n", "1500", "--seed", "2"],
-            ["--search", "greedy", "--mean-method", "projected"],
+            ["--search", "greedy"],
             False,
             DIGESTS_GREEDY,
             "",
@@ -563,7 +563,7 @@ DIGESTS_ZERO_ROW = {
             "warning: dropped 1 zero-concentration rows\n",
         ),
     ],
-    ids=["defaults", "greedy-projected", "above-hull-cap", "zero-row"],
+    ids=["defaults", "greedy", "above-hull-cap", "zero-row"],
 )
 def test_estimate_bytes_pinned(tmp_path, capsys, simulate, flags, zero_row, digests, stderr):
     sim = tmp_path / "sim"
@@ -652,6 +652,45 @@ def test_evaluate_skips_blank_lines(tmp_path):
         assert main(args + ["--out", str(out)]) == 0
         metrics.append((out / "metrics.csv").read_bytes())
     assert metrics[1] == metrics[0] and metrics[2] == metrics[0]
+
+
+PHI_TRUE_2X3 = "source,a,b,c\ns1,0.2,0.7,0.4\ns2,0.8,0.3,0.6\n"
+
+
+def test_evaluate_matches_columns_by_name(tmp_path):
+    phi_true = tmp_path / "phi_true.csv"
+    phi_true.write_text(PHI_TRUE_2X3, encoding="utf-8")
+    # The same matrix with its columns, names included, in reverse order.
+    reordered = tmp_path / "reordered.csv"
+    reordered.write_text(
+        "source,c,b,a\ns1,0.4,0.7,0.2\ns2,0.6,0.3,0.8\n", encoding="utf-8"
+    )
+    metrics = []
+    for phi_hat in (phi_true, reordered):
+        out = tmp_path / f"out_{phi_hat.stem}"
+        args = ["evaluate", "--phi-hat", str(phi_hat), "--phi-true", str(phi_true)]
+        assert main(args + ["--out", str(out)]) == 0
+        metrics.append((out / "metrics.csv").read_bytes())
+    assert metrics[1] == metrics[0]
+    assert read_csv(tmp_path / "out_reordered" / "metrics.csv")[1] == ["0", "0", "0"]
+
+
+@pytest.mark.parametrize(
+    "true_header,hat_header",
+    [("source,a,b,c", "source,a,b,x"), ("source,a,a,b", "source,a,b,b")],
+    ids=["renamed", "repeated"],
+)
+def test_evaluate_rejects_other_column_names(tmp_path, capsys, true_header, hat_header):
+    body = PHI_TRUE_2X3.split("\n", 1)[1]
+    phi_true = tmp_path / "phi_true.csv"
+    phi_true.write_text(true_header + "\n" + body, encoding="utf-8")
+    phi_hat = tmp_path / "phi_hat.csv"
+    phi_hat.write_text(hat_header + "\n" + body, encoding="utf-8")
+    args = ["evaluate", "--phi-hat", str(phi_hat), "--phi-true", str(phi_true)]
+    assert main(args + ["--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("ShapeMismatch: ")
+    assert not (tmp_path / "o").exists()
 
 
 def test_estimate_defaults_are_estimator_config_defaults(tmp_path):

@@ -496,6 +496,8 @@ class TestConvergenceStudy:
             ("replicates", 1.5),
             ("n_grid", (100.7, "300")),
             ("n_grid", (100, True)),
+            ("master_seed", 1.5),
+            ("master_seed", -1),
         ],
     )
     def test_sizes_must_be_integers(self, field, value):
