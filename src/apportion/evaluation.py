@@ -10,10 +10,13 @@ Euclidean distance before either metric is computed.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
 import time
 import warnings
 from dataclasses import dataclass
-from functools import partial
+from typing import NoReturn
 
 import numpy as np
 
@@ -73,6 +76,9 @@ class StudyDesign:
             object.__setattr__(self, name, check_integer(name, getattr(self, name)))
         n_grid = tuple(check_integer("n_grid entry", n) for n in self.n_grid)
         object.__setattr__(self, "n_grid", n_grid)
+        for i, n in enumerate(n_grid):
+            if n in n_grid[:i]:
+                raise ValueError(f"n_grid entry {n} is repeated")
         if self.process not in PROCESSES:
             raise ValueError(f"process must be one of {PROCESSES}")
         if self.search not in STUDY_SEARCHES:
@@ -352,7 +358,12 @@ def convergence_study(design: StudyDesign, workers: int = 1) -> list[MetricsReco
 
     Every (n, replicate) pair redraws the profile matrix and process
     parameters from its own stream block, so results are a pure function
-    of the design: replicate-level parallelism cannot change them.
+    of the design and never depend on ``workers``.  ``workers`` is the
+    number of processes: the caller plus up to ``workers - 1`` children
+    made by ``os.fork``, at most one process per task.  Where ``os.fork``
+    does not exist the tasks run serially in the caller.  A task that
+    raises anything but an ApportionError ends the study: in a child, as a
+    RuntimeError naming its (n, replicate).
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -361,21 +372,83 @@ def convergence_study(design: StudyDesign, workers: int = 1) -> list[MetricsReco
         for n_index, n in enumerate(design.n_grid)
         for replicate in range(design.replicates)
     ]
-    runner = partial(_run_study_task, design)
-    # A fork pool starts all its workers at the first submit, so more
-    # workers than tasks would only sit idle.
-    workers = min(workers, len(tasks))
-    if workers == 1:
-        batches = [runner(task) for task in tasks]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, len(tasks) // (4 * workers))
-            batches = list(pool.map(runner, tasks, chunksize=chunk))
+    if not hasattr(os, "fork"):
+        workers = 1
+    # Largest n first, dealt round-robin, so every share gets a like mix.
+    order = sorted(range(len(tasks)), key=lambda i: -tasks[i][1])
+    shares = [order[s :: workers] for s in range(min(workers, len(tasks)))]
+    batches = [None] * len(tasks)
+    for share, share_batches in zip(shares, _run_shares(design, tasks, shares)):
+        for i, batch in zip(share, share_batches):
+            batches[i] = batch
     records = [record for batch in batches for record in batch]
     records.sort(key=lambda r: (r.n, r.replicate, r.search_used))
     return records
+
+
+def _run_shares(design: StudyDesign, tasks, shares) -> list[list]:
+    """Per share, the batch of each of its tasks: share 0 in the caller,
+    every other share in a forked child that pickles its batches, or its
+    failing task and error, into a pipe.  Every child is reaped before
+    this returns or raises."""
+    children = {}  # pid -> read end of its pipe
+    try:
+        for share in shares[1:]:
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                _child(design, [tasks[i] for i in share], read_fd, write_fd)
+            os.close(write_fd)
+            children[pid] = read_fd
+        results = [[_run_study_task(design, tasks[i]) for i in shares[0]]]
+        for pid, read_fd in list(children.items()):
+            with open(read_fd, "rb", closefd=False) as pipe:
+                report = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            os.close(children.pop(pid))
+            if code != 0 or not report:
+                raise RuntimeError(
+                    f"study worker {pid} exited with status {code} before reporting"
+                )
+            report = pickle.loads(report)
+            if report[0] != "ok":
+                _, n, replicate, error = report
+                raise RuntimeError(
+                    f"study task n={n}, replicate={replicate} failed in worker {pid}: {error}"
+                )
+            results.append(report[1])
+        return results
+    finally:
+        for pid, read_fd in children.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(read_fd)
+
+
+def _child(design: StudyDesign, share, read_fd: int, write_fd: int) -> NoReturn:
+    """Run a share in a forked child and report on write_fd.  Never returns:
+    it ends in os._exit, so it runs none of the parent's exit handlers and
+    flushes none of its buffers."""
+    code = 1
+    try:
+        os.close(read_fd)
+        task, batches = None, []
+        try:
+            for task in share:
+                batches.append(_run_study_task(design, task))
+            report = ("ok", batches)
+        except Exception as exc:
+            report = ("error", task[1], task[2], f"{type(exc).__name__}: {exc}")
+        with os.fdopen(write_fd, "wb") as pipe:
+            pickle.dump(report, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def summarize_records(records: list[MetricsRecord]) -> list[dict]:

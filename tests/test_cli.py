@@ -338,8 +338,8 @@ assert "scipy.signal" not in sys.modules and "scipy.optimize" not in sys.modules
 def test_import_loads_no_scipy_and_deferred_qhull_works():
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    # The study runs first, so its workers start from a parent that never
-    # loaded qhull; the hull calls after it are the parent's first.
+    # The hull checks run first, so they are the interpreter's first use of
+    # qhull; the studies after them run tasks in the caller too.
     code = """
 import dataclasses, sys, warnings
 import numpy as np
@@ -351,9 +351,6 @@ from apportion.exceptions import HullFallbackWarning
 loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
 assert not loaded, loaded
 assert "concurrent.futures.process" not in sys.modules
-design = StudyDesign(J=5, K=3, n_grid=(60, 120), replicates=2)
-parallel = convergence_study(design, workers=2)
-assert "scipy.spatial" not in sys.modules
 
 z = np.random.default_rng(5).normal(size=(40, 2))
 verts = geometry.hull_vertices(z)
@@ -372,9 +369,12 @@ with warnings.catch_warnings(record=True) as caught:
 assert [w.category for w in caught] == [HullFallbackWarning], caught
 assert verts.tolist() == list(range(n))
 
+design = StudyDesign(J=5, K=3, n_grid=(60, 120), replicates=2)
+parallel = convergence_study(design, workers=2)
 serial = convergence_study(design, workers=1)
 strip = lambda records: [dataclasses.replace(r, runtime_seconds=0.0) for r in records]
 assert strip(parallel) == strip(serial)
+assert "concurrent.futures.process" not in sys.modules
 """
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
@@ -802,6 +802,7 @@ class TestConvergenceStudyCommand:
         "flags",
         [
             ["--n-grid", "200,0"],
+            ["--n-grid", "200,200"],
             ["--J", "8", "--K", "8"],
             ["--workers", "0"],
             ["--workers", "-3"],

@@ -1,6 +1,6 @@
-import concurrent.futures
 import dataclasses
 import math
+import os
 import warnings
 
 import numpy as np
@@ -390,6 +390,15 @@ class TestDistancesToPolytope:
         )
 
 
+def _strip_runtime(records):
+    return [dataclasses.replace(r, runtime_seconds=0.0) for r in records]
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.fixture(scope="module")
 def small_both():
     design = StudyDesign(
@@ -427,12 +436,16 @@ class TestConvergenceStudy:
 
     def test_worker_count_does_not_change_results(self, small_both):
         design, sequential = small_both
-        parallel = convergence_study(design, workers=2)
+        for workers in (2, 3, 8):
+            parallel = convergence_study(design, workers=workers)
+            assert _strip_runtime(sequential) == _strip_runtime(parallel), workers
+        _assert_no_child_left()
 
-        def strip(records):
-            return [dataclasses.replace(r, runtime_seconds=0.0) for r in records]
-
-        assert strip(sequential) == strip(parallel)
+    def test_without_fork_runs_serially(self, small_both, monkeypatch):
+        design, sequential = small_both
+        monkeypatch.delattr(os, "fork")
+        records = convergence_study(design, workers=4)
+        assert _strip_runtime(records) == _strip_runtime(sequential)
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_worker_count_below_one_raises(self, workers):
@@ -442,32 +455,86 @@ class TestConvergenceStudy:
 
     @pytest.mark.parametrize(
         "workers, n_grid, replicates, expected",
-        [(64, (60, 80), 2, 4), (3, (60, 80), 2, 3), (8, (60,), 1, None)],
+        [(64, (60, 80), 2, 3), (3, (60, 80), 2, 2), (8, (60,), 1, 0), (1, (60, 80), 2, 0)],
     )
-    def test_pool_capped_at_task_count(
+    def test_forks_capped_at_task_count(
         self, monkeypatch, workers, n_grid, replicates, expected
     ):
-        started = []
+        forks, real_fork = [], os.fork
 
-        class SerialPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
+        def counting_fork():
+            forks.append(1)
+            return real_fork()
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks, chunksize=1):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "fork", counting_fork)
         design = StudyDesign(J=5, K=3, n_grid=n_grid, replicates=replicates)
         records = convergence_study(design, workers=workers)
-        # One task runs in-process: no pool at all.
-        assert started == ([] if expected is None else [expected])
+        # The caller runs one share itself and forks one child per other share.
+        assert len(forks) == expected
         assert len(records) == len(n_grid) * replicates
+
+    def test_child_error_names_its_task(self, monkeypatch):
+        caller, run_task = os.getpid(), evaluation._run_study_task
+
+        def failing_in_children(design, task):
+            if os.getpid() != caller:
+                raise ZeroDivisionError("planted")
+            return run_task(design, task)
+
+        monkeypatch.setattr(evaluation, "_run_study_task", failing_in_children)
+        design = StudyDesign(J=5, K=3, n_grid=(60, 80), replicates=2)
+        # Largest n first, dealt round-robin: the child's first task is (80, 1).
+        with pytest.raises(
+            RuntimeError, match=r"n=80, replicate=1 failed .*: ZeroDivisionError: planted$"
+        ):
+            convergence_study(design, workers=2)
+        _assert_no_child_left()
+
+    def test_child_exit_before_report_names_status(self, monkeypatch):
+        caller, run_task = os.getpid(), evaluation._run_study_task
+
+        def exiting_in_children(design, task):
+            if os.getpid() != caller:
+                os._exit(3)
+            return run_task(design, task)
+
+        monkeypatch.setattr(evaluation, "_run_study_task", exiting_in_children)
+        design = StudyDesign(J=5, K=3, n_grid=(60, 80), replicates=2)
+        with pytest.raises(RuntimeError, match="exited with status 3 before reporting"):
+            convergence_study(design, workers=4)
+        _assert_no_child_left()
+
+    def test_caller_error_reaps_children(self, monkeypatch):
+        caller, run_task = os.getpid(), evaluation._run_study_task
+
+        def failing_in_caller(design, task):
+            if os.getpid() == caller:
+                raise ZeroDivisionError("planted")
+            return run_task(design, task)
+
+        monkeypatch.setattr(evaluation, "_run_study_task", failing_in_caller)
+        design = StudyDesign(J=5, K=3, n_grid=(60, 80), replicates=2)
+        with pytest.raises(ZeroDivisionError, match="^planted$"):
+            convergence_study(design, workers=3)
+        _assert_no_child_left()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_failed_fork_reaps_children_and_closes_pipes(self, monkeypatch):
+        forks, real_fork = [], os.fork
+
+        def failing_second_fork():
+            forks.append(1)
+            if len(forks) == 2:
+                raise BlockingIOError("planted")
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", failing_second_fork)
+        design = StudyDesign(J=5, K=3, n_grid=(60, 80), replicates=2)
+        open_fds = sorted(os.listdir("/proc/self/fd"))
+        with pytest.raises(BlockingIOError, match="^planted$"):
+            convergence_study(design, workers=4)
+        assert sorted(os.listdir("/proc/self/fd")) == open_fds
+        _assert_no_child_left()
 
     def test_summary_rows(self, small_both):
         design, records = small_both
@@ -487,6 +554,9 @@ class TestConvergenceStudy:
         # What the generator would reject, before any task runs.
         with pytest.raises(ValueError, match="n_grid entry"):
             StudyDesign(n_grid=(200, 0))
+        # Repeated entries would share an n but draw from different streams.
+        with pytest.raises(ValueError, match="^n_grid entry 300 is repeated$"):
+            StudyDesign(n_grid=(100, 300, 1500, 300))
 
     @pytest.mark.parametrize(
         "field,value",
