@@ -23,7 +23,6 @@ import numpy as np
 
 from .estimator import SEARCH_MODES, ConcentrationMatrix, EstimatorConfig, apportion
 from .evaluation import (
-    STUDY_SEARCHES,
     MetricsRecord,
     StudyDesign,
     align_rows,
@@ -337,8 +336,6 @@ def _metrics_csv_rows(records: list[MetricsRecord]):
 
 def _cmd_convergence_study(args) -> int:
     design = _study_design(args)
-    if args.workers < 1:
-        raise ValueError("workers must be >= 1")
     records = convergence_study(design, workers=args.workers)
     out = _out_dir(args.out)
     _write_rows(
@@ -409,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     study.add_argument("--K", type=int, default=StudyDesign.K)
     study.add_argument("--n-grid", default=",".join(map(str, StudyDesign.n_grid)))
     study.add_argument("--replicates", type=int, default=StudyDesign.replicates)
-    study.add_argument("--search", choices=STUDY_SEARCHES, default=StudyDesign.search)
+    study.add_argument("--search", choices=SEARCH_MODES, default=StudyDesign.search)
     study.add_argument("--seed", type=int, default=StudyDesign.master_seed)
     study.add_argument("--workers", type=int, default=1)
     study.add_argument("--out", required=True)

@@ -43,6 +43,13 @@ def check_integer(name: str, value) -> int:
     return int(value)
 
 
+def check_unique(name: str, values) -> None:
+    """ValueError naming the first entry of ``values`` seen before."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ValueError(f"{name} {value!r} is repeated")
+
+
 def _default_names(prefix: str, count: int) -> tuple[str, ...]:
     return tuple(f"{prefix}{i + 1}" for i in range(count))
 
@@ -72,6 +79,7 @@ class ConcentrationMatrix:
             )
         elif len(self.pollutant_names) != vals.shape[1]:
             raise ValueError("one name per pollutant column required")
+        check_unique("pollutant name", self.pollutant_names)
 
     @property
     def n(self) -> int:
@@ -249,17 +257,13 @@ def _select_max_volume(
 
 
 def estimate_H_star(
-    data: RowNormalizedData,
-    cfg: EstimatorConfig,
-    candidates: CandidateSet | None = None,
+    candidates: CandidateSet, cfg: EstimatorConfig
 ) -> tuple[np.ndarray, VertexSubset, str]:
     """Max-volume K-subset of the hull candidates, as rows of Y*.
 
     Returns (H*_hat, chosen subset, search label); rows sum to one by
     construction because they are rows of Y*.
     """
-    if candidates is None:
-        candidates = extract_candidates(data, cfg)
     subset, used = _select_max_volume(candidates.z, cfg)
     return candidates.ystar[list(subset.indices)], subset, used
 
@@ -329,7 +333,7 @@ def apportion(y: ConcentrationMatrix, cfg: EstimatorConfig) -> ApportionmentEsti
             with _stage("extract_candidates"):
                 cands = extract_candidates(data, cfg)
             with _stage("estimate_H_star"):
-                hstar, subset, used = estimate_H_star(data, cfg, cands)
+                hstar, subset, used = estimate_H_star(cands, cfg)
         with _stage("estimate_mu_tilde"):
             m_tilde = estimate_mu_tilde(y, hstar)
         with _stage("compute_phi"):

@@ -21,7 +21,14 @@ from typing import NoReturn
 import numpy as np
 
 from . import geometry
-from .estimator import ApportionmentEstimate, EstimatorConfig, apportion, check_integer
+from .estimator import (
+    SEARCH_MODES,
+    ApportionmentEstimate,
+    EstimatorConfig,
+    apportion,
+    check_integer,
+    check_unique,
+)
 from .exceptions import (
     ApportionError,
     NotContainedWarning,
@@ -35,7 +42,6 @@ from .synthgen import (
     make_ground_truth,
 )
 
-STUDY_SEARCHES = ("greedy", "exhaustive", "auto", "both")
 # Points per minimum-norm-point batch; each step holds a (rows, s, s) KKT
 # stack, s = slots + 1 + d: 28 MB at d=30 with 10 slots.
 _MNP_BLOCK_ROWS = 2048
@@ -76,13 +82,11 @@ class StudyDesign:
             object.__setattr__(self, name, check_integer(name, getattr(self, name)))
         n_grid = tuple(check_integer("n_grid entry", n) for n in self.n_grid)
         object.__setattr__(self, "n_grid", n_grid)
-        for i, n in enumerate(n_grid):
-            if n in n_grid[:i]:
-                raise ValueError(f"n_grid entry {n} is repeated")
+        check_unique("n_grid entry", n_grid)
         if self.process not in PROCESSES:
             raise ValueError(f"process must be one of {PROCESSES}")
-        if self.search not in STUDY_SEARCHES:
-            raise ValueError(f"search must be one of {STUDY_SEARCHES}")
+        if self.search not in SEARCH_MODES:
+            raise ValueError(f"search must be one of {SEARCH_MODES}")
         if not 1 <= self.K < self.J:
             raise ValueError("need 1 <= K < J")
         if self.replicates < 1 or not self.n_grid:
@@ -311,60 +315,54 @@ def hausdorff_to_polytope(ystar: np.ndarray, hstar: np.ndarray) -> float:
     return float(_distances_to_polytope(hstar, ystar).max())
 
 
-def _run_study_task(design: StudyDesign, task: tuple[int, int, int]):
+def _run_study_task(design: StudyDesign, task: tuple[int, int, int]) -> MetricsRecord:
     n_index, n, replicate = task
     task_index = n_index * design.replicates + replicate
     rng = RngSpec(design.master_seed, task_index * REPLICATE_STRIDE)
     y, truth = make_ground_truth(n, design.J, design.K, design.process, rng)
-    searches = ("greedy", "exhaustive") if design.search == "both" else (design.search,)
-    records = []
-    for search in searches:
-        cfg = EstimatorConfig(K=design.K, search=search)
-        start = time.perf_counter()
-        try:
-            est: ApportionmentEstimate = apportion(y, cfg)
-        except ApportionError as exc:
-            records.append(
-                MetricsRecord(
-                    n=n,
-                    replicate=replicate,
-                    nrmse=math.nan,
-                    nfd=math.nan,
-                    runtime_seconds=time.perf_counter() - start,
-                    search_used=search,
-                    error=str(exc),
-                )
-            )
-            continue
-        elapsed = time.perf_counter() - start
-        alignment = align_rows(truth.phi_true.values, est.phi_hat.values)
-        aligned = est.phi_hat.values[list(alignment.permutation)]
-        records.append(
-            MetricsRecord(
-                n=n,
-                replicate=replicate,
-                nrmse=nrmse(truth.phi_true.values, aligned),
-                nfd=nfd(truth.phi_true.values, aligned),
-                runtime_seconds=elapsed,
-                search_used=est.diagnostics.search_used,
-                log_volume=est.diagnostics.log_volume,
-            )
+    cfg = EstimatorConfig(K=design.K, search=design.search)
+    start = time.perf_counter()
+    try:
+        est: ApportionmentEstimate = apportion(y, cfg)
+    except ApportionError as exc:
+        return MetricsRecord(
+            n=n,
+            replicate=replicate,
+            nrmse=math.nan,
+            nfd=math.nan,
+            runtime_seconds=time.perf_counter() - start,
+            search_used=design.search,
+            error=str(exc),
         )
-    return records
+    elapsed = time.perf_counter() - start
+    alignment = align_rows(truth.phi_true.values, est.phi_hat.values)
+    aligned = est.phi_hat.values[list(alignment.permutation)]
+    return MetricsRecord(
+        n=n,
+        replicate=replicate,
+        nrmse=nrmse(truth.phi_true.values, aligned),
+        nfd=nfd(truth.phi_true.values, aligned),
+        runtime_seconds=elapsed,
+        search_used=est.diagnostics.search_used,
+        log_volume=est.diagnostics.log_volume,
+    )
 
 
 def convergence_study(design: StudyDesign, workers: int = 1) -> list[MetricsRecord]:
-    """Replicated generate-and-estimate study over a sample-size grid.
+    """Replicated generate-and-estimate study over a sample-size grid: one
+    record per (n, replicate), sorted by (n, replicate).
 
     Every (n, replicate) pair redraws the profile matrix and process
     parameters from its own stream block, so results are a pure function
-    of the design and never depend on ``workers``.  ``workers`` is the
-    number of processes: the caller plus up to ``workers - 1`` children
-    made by ``os.fork``, at most one process per task.  Where ``os.fork``
-    does not exist the tasks run serially in the caller.  A task that
-    raises anything but an ApportionError ends the study: in a child, as a
-    RuntimeError naming its (n, replicate).
+    of the design and never depend on ``workers``; two designs that differ
+    only in ``search`` see the same data, task for task.  ``workers`` is
+    the number of processes, an integer >= 1: the caller plus up to
+    ``workers - 1`` children made by ``os.fork``, at most one process per
+    task.  Where ``os.fork`` does not exist the tasks run serially in the
+    caller.  A task that raises anything but an ApportionError ends the
+    study: in a child, as a RuntimeError naming its (n, replicate).
     """
+    workers = check_integer("workers", workers)
     if workers < 1:
         raise ValueError("workers must be >= 1")
     tasks = [
@@ -377,20 +375,15 @@ def convergence_study(design: StudyDesign, workers: int = 1) -> list[MetricsReco
     # Largest n first, dealt round-robin, so every share gets a like mix.
     order = sorted(range(len(tasks)), key=lambda i: -tasks[i][1])
     shares = [order[s :: workers] for s in range(min(workers, len(tasks)))]
-    batches = [None] * len(tasks)
-    for share, share_batches in zip(shares, _run_shares(design, tasks, shares)):
-        for i, batch in zip(share, share_batches):
-            batches[i] = batch
-    records = [record for batch in batches for record in batch]
-    records.sort(key=lambda r: (r.n, r.replicate, r.search_used))
-    return records
+    records = _run_shares(design, tasks, shares)
+    return sorted(records, key=lambda r: (r.n, r.replicate))
 
 
-def _run_shares(design: StudyDesign, tasks, shares) -> list[list]:
-    """Per share, the batch of each of its tasks: share 0 in the caller,
-    every other share in a forked child that pickles its batches, or its
-    failing task and error, into a pipe.  Every child is reaped before
-    this returns or raises."""
+def _run_shares(design: StudyDesign, tasks, shares) -> list[MetricsRecord]:
+    """The records of every share's tasks: share 0 in the caller, every
+    other share in a forked child that pickles its records, or its failing
+    task and error, into a pipe.  Every child is reaped before this
+    returns or raises."""
     children = {}  # pid -> read end of its pipe
     try:
         for share in shares[1:]:
@@ -405,7 +398,7 @@ def _run_shares(design: StudyDesign, tasks, shares) -> list[list]:
                 _child(design, [tasks[i] for i in share], read_fd, write_fd)
             os.close(write_fd)
             children[pid] = read_fd
-        results = [[_run_study_task(design, tasks[i]) for i in shares[0]]]
+        records = [_run_study_task(design, tasks[i]) for i in shares[0]]
         for pid, read_fd in list(children.items()):
             with open(read_fd, "rb", closefd=False) as pipe:
                 report = pipe.read()
@@ -421,8 +414,8 @@ def _run_shares(design: StudyDesign, tasks, shares) -> list[list]:
                 raise RuntimeError(
                     f"study task n={n}, replicate={replicate} failed in worker {pid}: {error}"
                 )
-            results.append(report[1])
-        return results
+            records += report[1]
+        return records
     finally:
         for pid, read_fd in children.items():
             os.kill(pid, signal.SIGKILL)
@@ -437,11 +430,11 @@ def _child(design: StudyDesign, share, read_fd: int, write_fd: int) -> NoReturn:
     code = 1
     try:
         os.close(read_fd)
-        task, batches = None, []
+        task, records = None, []
         try:
             for task in share:
-                batches.append(_run_study_task(design, task))
-            report = ("ok", batches)
+                records.append(_run_study_task(design, task))
+            report = ("ok", records)
         except Exception as exc:
             report = ("error", task[1], task[2], f"{type(exc).__name__}: {exc}")
         with os.fdopen(write_fd, "wb") as pipe:

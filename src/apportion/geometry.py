@@ -349,12 +349,12 @@ def max_volume_greedy(candidates: np.ndarray, k: int) -> VertexSubset:
     """
     pts = np.asarray(candidates, dtype=float)
     m = pts.shape[0]
+    if k < 1:
+        raise ValueError(f"need k >= 1, got {k}")
     if m < k:
         raise ValueError(f"need at least {k} candidates, got {m}")
 
     current = _atgp_indices(pts, k)
-    if k == 1:
-        return VertexSubset((current[0],), 0.0)
     current_lv = float(_batch_log_volumes(pts, np.asarray([current]))[0])
     all_idx = np.arange(m, dtype=np.intp)
     for _ in range(MAX_SWEEPS):

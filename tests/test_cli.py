@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from apportion import cli
+from apportion import cli, evaluation
 from apportion.cli import load_concentrations, main
 from apportion.estimator import ConcentrationMatrix, EstimatorConfig, apportion
 from apportion.evaluation import StudyDesign, align_rows, nfd, nrmse
@@ -457,6 +457,12 @@ class TestEstimateCommand:
             main(["estimate", "--input", str(tmp_path / "nope.csv"), "--K", "3", "--out", str(tmp_path / "o")])
         assert err.value.code != 0
 
+    def test_repeated_pollutant_name_fails_before_output(self, tmp_path):
+        # evaluate would refuse the phi_hat.csv this wrote, even against itself.
+        outcome = assert_loads_like_cellwise("a,a,b,c\n1,2,3,4\n5,6,7,8\n", tmp_path)
+        assert outcome == (ValueError, None, None, "pollutant name 'a' is repeated")
+        assert not (tmp_path / "o").exists()
+
     def test_bad_file_prints_category_line(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,-2\n", encoding="utf-8")
@@ -804,8 +810,6 @@ class TestConvergenceStudyCommand:
             ["--n-grid", "200,0"],
             ["--n-grid", "200,200"],
             ["--J", "8", "--K", "8"],
-            ["--workers", "0"],
-            ["--workers", "-3"],
         ],
     )
     def test_bad_design_fails_before_any_task(self, tmp_path, capsys, monkeypatch, flags):
@@ -817,6 +821,27 @@ class TestConvergenceStudyCommand:
         assert main(["convergence-study", *flags, "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("ValueError: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_bad_worker_count_fails_before_any_task(
+        self, tmp_path, capsys, monkeypatch, workers
+    ):
+        def no_task(*args, **kwargs):
+            raise AssertionError("a task ran")
+
+        monkeypatch.setattr(evaluation, "_run_study_task", no_task)
+        out = tmp_path / "study"
+        assert main(["convergence-study", "--workers", workers, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "ValueError: workers must be >= 1\n"
+        assert not out.exists()
+
+    def test_search_both_is_not_a_choice(self, tmp_path, capsys):
+        out = tmp_path / "study"
+        with pytest.raises(SystemExit) as err:
+            main(["convergence-study", "--search", "both", "--out", str(out)])
+        assert err.value.code == 2
+        assert "invalid choice: 'both'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_workers_env_default(self, monkeypatch):

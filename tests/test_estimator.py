@@ -120,7 +120,8 @@ class TestEstimateHStar:
         weights = rng.dirichlet(np.ones(3), size=150)
         ystar = np.vstack([hstar, weights @ hstar])
         data = row_normalize(ConcentrationMatrix(ystar))
-        est, _, _ = estimate_H_star(data, EstimatorConfig(K=3))
+        cfg = EstimatorConfig(K=3)
+        est, _, _ = estimate_H_star(extract_candidates(data, cfg), cfg)
         np.testing.assert_allclose(
             np.sort(est, axis=0), np.sort(hstar, axis=0), atol=1e-10
         )
@@ -129,17 +130,16 @@ class TestEstimateHStar:
         rng = np.random.default_rng(23)
         y, _, h = separable_data(rng)
         data = row_normalize(y)
-        est, _, _ = estimate_H_star(data, EstimatorConfig(K=3))
+        cfg = EstimatorConfig(K=3)
+        est, _, _ = estimate_H_star(extract_candidates(data, cfg), cfg)
         hstar = h / h.sum(axis=1, keepdims=True)
         assert np.abs(np.sort(est, axis=0) - np.sort(hstar, axis=0)).max() <= 1e-10
 
     def test_greedy_matches_exhaustive_on_synthetic_draw(self):
         y, _ = make_ground_truth(100, 8, 3, "ar1", RngSpec(41))
-        data = row_normalize(y)
-        _, sub_g, used_g = estimate_H_star(data, EstimatorConfig(K=3, search="greedy"))
-        _, sub_e, used_e = estimate_H_star(
-            data, EstimatorConfig(K=3, search="exhaustive")
-        )
+        cands = extract_candidates(row_normalize(y), EstimatorConfig(K=3))
+        _, sub_g, used_g = estimate_H_star(cands, EstimatorConfig(K=3, search="greedy"))
+        _, sub_e, used_e = estimate_H_star(cands, EstimatorConfig(K=3, search="exhaustive"))
         assert (used_g, used_e) == ("greedy", "exhaustive")
         same_subset = sorted(sub_g.indices) == sorted(sub_e.indices)
         assert same_subset or sub_e.log_volume - sub_g.log_volume <= 1e-9
@@ -338,6 +338,10 @@ class TestConcentrationMatrix:
     def test_rejects_a_column_without_a_positive_entry(self, values):
         with pytest.raises(ValueError, match="every pollutant column"):
             ConcentrationMatrix(values)
+
+    def test_rejects_a_repeated_pollutant_name(self):
+        with pytest.raises(ValueError, match="^pollutant name 'a' is repeated$"):
+            ConcentrationMatrix(np.ones((3, 4)), ("a", "a", "b", "c"))
 
 
 class TestConfigValidation:

@@ -401,56 +401,62 @@ def _assert_no_child_left():
 
 @pytest.fixture(scope="module")
 def small_both():
-    design = StudyDesign(
+    """(design, records) of a greedy study and of an exhaustive study that
+    differ only in search, so they pair on (n, replicate)."""
+    greedy = StudyDesign(
         process="ar1",
         J=6,
         K=3,
         n_grid=(60, 150),
         replicates=4,
-        search="both",
+        search="greedy",
         master_seed=99,
     )
-    return design, convergence_study(design)
+    exhaustive = dataclasses.replace(greedy, search="exhaustive")
+    return [(design, convergence_study(design)) for design in (greedy, exhaustive)]
 
 
 class TestConvergenceStudy:
     def test_record_counts_and_labels(self, small_both):
-        design, records = small_both
-        assert len(records) == 2 * len(design.n_grid) * design.replicates
-        assert {r.search_used for r in records} == {"greedy", "exhaustive"}
-        assert all(not r.error for r in records)
-        assert all(
-            np.isfinite(r.nrmse) and r.nrmse >= 0 and np.isfinite(r.nfd)
-            for r in records
-        )
+        for design, records in small_both:
+            keys = [(n, rep) for n in design.n_grid for rep in range(design.replicates)]
+            assert [(r.n, r.replicate) for r in records] == keys
+            assert {r.search_used for r in records} == {design.search}
+            assert all(not r.error for r in records)
+            assert all(
+                np.isfinite(r.nrmse) and r.nrmse >= 0 and np.isfinite(r.nfd)
+                for r in records
+            )
 
     def test_exhaustive_log_volume_dominates(self, small_both):
-        _, records = small_both
-        by_key = {(r.n, r.replicate, r.search_used): r for r in records}
-        for (n, rep, search) in list(by_key):
-            if search != "greedy":
-                continue
-            greedy = by_key[(n, rep, "greedy")]
-            exhaustive = by_key[(n, rep, "exhaustive")]
-            assert exhaustive.log_volume >= greedy.log_volume - 1e-12
+        (_, greedy), (_, exhaustive) = small_both
+        for g, e in zip(greedy, exhaustive, strict=True):
+            assert (g.n, g.replicate) == (e.n, e.replicate)
+            assert e.log_volume >= g.log_volume - 1e-12
 
     def test_worker_count_does_not_change_results(self, small_both):
-        design, sequential = small_both
-        for workers in (2, 3, 8):
-            parallel = convergence_study(design, workers=workers)
-            assert _strip_runtime(sequential) == _strip_runtime(parallel), workers
+        for design, sequential in small_both:
+            for workers in (2, 3, 8):
+                parallel = convergence_study(design, workers=workers)
+                assert _strip_runtime(sequential) == _strip_runtime(parallel), workers
         _assert_no_child_left()
 
     def test_without_fork_runs_serially(self, small_both, monkeypatch):
-        design, sequential = small_both
         monkeypatch.delattr(os, "fork")
-        records = convergence_study(design, workers=4)
-        assert _strip_runtime(records) == _strip_runtime(sequential)
+        for design, sequential in small_both:
+            records = convergence_study(design, workers=4)
+            assert _strip_runtime(records) == _strip_runtime(sequential)
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_worker_count_below_one_raises(self, workers):
         design = StudyDesign(J=5, K=3, n_grid=(60,), replicates=1)
         with pytest.raises(ValueError, match="^workers must be >= 1$"):
+            convergence_study(design, workers=workers)
+
+    @pytest.mark.parametrize("workers", [2.0, "2", True])
+    def test_worker_count_must_be_an_integer(self, workers):
+        design = StudyDesign(J=5, K=3, n_grid=(60,), replicates=1)
+        with pytest.raises(ValueError, match="^workers must be an integer, got "):
             convergence_study(design, workers=workers)
 
     @pytest.mark.parametrize(
@@ -537,8 +543,8 @@ class TestConvergenceStudy:
         _assert_no_child_left()
 
     def test_summary_rows(self, small_both):
-        design, records = small_both
-        summary = summarize_records(records)
+        design, _ = small_both[0]
+        summary = summarize_records([r for _, records in small_both for r in records])
         assert len(summary) == 2 * len(design.n_grid)
         for row in summary:
             assert row["count"] == design.replicates
@@ -547,6 +553,9 @@ class TestConvergenceStudy:
     def test_design_validation(self):
         with pytest.raises(ValueError):
             StudyDesign(search="fastest")
+        # Compare searches as one study per search with the same seed.
+        with pytest.raises(ValueError, match="^search must be one of "):
+            StudyDesign(search="both")
         with pytest.raises(ValueError):
             StudyDesign(K=8, J=8)
         with pytest.raises(ValueError):

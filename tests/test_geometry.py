@@ -287,9 +287,12 @@ class TestComboBlocks:
                 assert np.array_equal(np.concatenate(blocks), expected)
 
     @pytest.mark.parametrize("m,k", [(3, 0), (3, 4)])
-    def test_rejects_out_of_range_k(self, m, k):
-        with pytest.raises(ValueError):
-            max_volume_exhaustive(np.zeros((m, 2)), k)
+    @pytest.mark.parametrize(
+        "search", [max_volume_exhaustive, max_volume_greedy], ids=["exhaustive", "greedy"]
+    )
+    def test_rejects_out_of_range_k(self, search, m, k):
+        with pytest.raises(ValueError, match="^need "):
+            search(np.zeros((m, 2)), k)
 
 
 class TestMaxVolumeExhaustive:
