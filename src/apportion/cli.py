@@ -275,16 +275,20 @@ def _cmd_estimate(args) -> int:
     with _open_write(out / "diagnostics.json") as fh:
         json.dump(dataclasses.asdict(est.diagnostics), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    outputs = ["phi_hat.csv", "h_star_hat.csv", "m_tilde.csv", "diagnostics.json"]
-    if est.candidates is not None:
-        # %.17g prints the index and 0/1 columns as str(int) does (exact
-        # for integers below 2**53).
-        cands = est.candidates
-        selected = np.isin(cands.indices, est.diagnostics.subset_rows)
-        header = ["candidate_row"] + [f"z{i + 1}" for i in range(cands.z.shape[1])]
-        scatter = np.column_stack([cands.indices, cands.z, selected])
-        _write_matrix(out / "hull_scatter.csv", scatter, header + ["selected"])
-        outputs.append("hull_scatter.csv")
+    # %.17g prints the index and 0/1 columns as str(int) does (exact for
+    # integers below 2**53).
+    cands = est.candidates
+    selected = np.isin(cands.indices, est.diagnostics.subset_rows)
+    header = ["candidate_row"] + [f"z{i + 1}" for i in range(cands.z.shape[1])]
+    scatter = np.column_stack([cands.indices, cands.z, selected])
+    _write_matrix(out / "hull_scatter.csv", scatter, header + ["selected"])
+    outputs = [
+        "phi_hat.csv",
+        "h_star_hat.csv",
+        "m_tilde.csv",
+        "diagnostics.json",
+        "hull_scatter.csv",
+    ]
     for warning in est.diagnostics.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     config = {"input": str(args.input), **dataclasses.asdict(cfg)}

@@ -107,8 +107,10 @@ class EstimatorConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "K", check_integer("K", self.K))
-        if self.K < 1:
-            raise ValueError("K must be >= 1")
+        if self.K < 2:
+            raise ValueError(
+                "K must be >= 2: with one source every attribution fraction is 1"
+            )
         if self.search not in SEARCH_MODES:
             raise ValueError(f"search must be one of {SEARCH_MODES}")
 
@@ -163,11 +165,10 @@ class Diagnostics:
 
     ``subset_rows`` holds the chosen profile rows as indices into the
     normalized data (the convention of ``CandidateSet.indices``), in the
-    order of the rows of the profile estimate; it is empty for K = 1,
-    whose profile is the mean row.  ``n_hull_vertices`` and
+    order of the rows of the profile estimate.  ``n_hull_vertices`` and
     ``n_candidates_after_prune`` keep the layout of ``diagnostics.json``:
     both count the candidates, every index ``geometry.hull_vertices``
-    returns, and are 1 for K = 1.
+    returns.
     """
 
     r_b: int
@@ -187,7 +188,7 @@ class ApportionmentEstimate:
     m_tilde: np.ndarray  # (K,), concentration-sum units
     phi_hat: AttributionMatrix
     diagnostics: Diagnostics
-    candidates: CandidateSet | None = None
+    candidates: CandidateSet
 
 
 @contextmanager
@@ -235,7 +236,7 @@ def extract_candidates(data: RowNormalizedData, cfg: EstimatorConfig) -> Candida
     n = data.ystar.shape[0]
     if n < cfg.K + 1:
         raise TooFewCandidates(f"need at least K+1={cfg.K + 1} rows, got {n}")
-    z = geometry.intrinsic_projection(data.ystar, max(cfg.K - 1, 1))
+    z = geometry.intrinsic_projection(data.ystar, cfg.K - 1)
     if z.shape[1] < cfg.K - 1:
         raise DegenerateCloud(
             f"rows span {z.shape[1]} dimensions; K={cfg.K} sources need {cfg.K - 1}"
@@ -313,52 +314,35 @@ def compute_phi(
 def apportion(y: ConcentrationMatrix, cfg: EstimatorConfig) -> ApportionmentEstimate:
     """Full pipeline from concentrations to the attribution estimate.
 
-    Deterministic given (y, cfg).  Pipeline warnings are collected into
-    the diagnostics rather than re-emitted; errors carry the stage name.
+    One path for every K >= 2: row_normalize, extract_candidates,
+    estimate_H_star, estimate_mu_tilde, compute_phi.  Deterministic given
+    (y, cfg).  Pipeline warnings are collected into the diagnostics rather
+    than re-emitted; errors carry the stage name.
     """
     if cfg.K >= y.n_pollutants:
         raise ValueError("K must be smaller than the number of pollutants")
-    if y.n < cfg.K + 1:
-        raise TooFewCandidates(
-            f"need at least K+1={cfg.K + 1} rows, got {y.n}", stage="apportion"
-        )
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         with _stage("row_normalize"):
             data = row_normalize(y)
-        if cfg.K == 1:
-            hstar, subset, used, cands = _single_source_profile(data)
-        else:
-            with _stage("extract_candidates"):
-                cands = extract_candidates(data, cfg)
-            with _stage("estimate_H_star"):
-                hstar, subset, used = estimate_H_star(cands, cfg)
+        with _stage("extract_candidates"):
+            cands = extract_candidates(data, cfg)
+        with _stage("estimate_H_star"):
+            hstar, subset, used = estimate_H_star(cands, cfg)
         with _stage("estimate_mu_tilde"):
             m_tilde = estimate_mu_tilde(y, hstar)
         with _stage("compute_phi"):
             phi = compute_phi(m_tilde, hstar, pollutant_names=y.pollutant_names)
 
-    n_hull = len(cands.indices) if cands is not None else 1
+    n_hull = len(cands.indices)
     diag = Diagnostics(
-        r_b=cands.z.shape[1] if cands is not None else 0,
+        r_b=cands.z.shape[1],
         n_hull_vertices=n_hull,
         n_candidates_after_prune=n_hull,
         log_volume=subset.log_volume,
         search_used=used,
         warnings=tuple(str(w.message) for w in caught),
-        subset_rows=(
-            tuple(int(cands.indices[i]) for i in subset.indices)
-            if cands is not None
-            else ()
-        ),
+        subset_rows=tuple(int(cands.indices[i]) for i in subset.indices),
     )
     return ApportionmentEstimate(hstar, m_tilde, phi, diag, cands)
-
-
-def _single_source_profile(data: RowNormalizedData):
-    # With one source every normalized row estimates the same profile; the
-    # hull machinery needs K >= 2, so use the mean row directly.
-    hstar = data.ystar.mean(axis=0)
-    hstar = hstar / hstar.sum()
-    return hstar[None, :], VertexSubset((0,), 0.0), "direct", None

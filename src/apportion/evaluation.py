@@ -57,13 +57,16 @@ class AlignmentResult:
 
 @dataclass(frozen=True)
 class MetricsRecord:
+    """One study task; a failed task (``error`` set) has no metrics, so
+    ``nrmse``, ``nfd`` and ``log_volume`` are None."""
+
     n: int
     replicate: int
-    nrmse: float
-    nfd: float
+    nrmse: float | None
+    nfd: float | None
     runtime_seconds: float
     search_used: str
-    log_volume: float = math.nan
+    log_volume: float | None = None
     error: str | None = None
 
 
@@ -87,8 +90,8 @@ class StudyDesign:
             raise ValueError(f"process must be one of {PROCESSES}")
         if self.search not in SEARCH_MODES:
             raise ValueError(f"search must be one of {SEARCH_MODES}")
-        if not 1 <= self.K < self.J:
-            raise ValueError("need 1 <= K < J")
+        if not 2 <= self.K < self.J:
+            raise ValueError("need 2 <= K < J")
         if self.replicates < 1 or not self.n_grid:
             raise ValueError("need at least one replicate and one sample size")
         if min(self.n_grid) < 1:
@@ -328,8 +331,8 @@ def _run_study_task(design: StudyDesign, task: tuple[int, int, int]) -> MetricsR
         return MetricsRecord(
             n=n,
             replicate=replicate,
-            nrmse=math.nan,
-            nfd=math.nan,
+            nrmse=None,
+            nfd=None,
             runtime_seconds=time.perf_counter() - start,
             search_used=design.search,
             error=str(exc),

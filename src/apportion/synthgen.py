@@ -162,26 +162,22 @@ def _cliques(adj: list[int], cand: int, k: int):
             yield (v,) + tail
 
 
-def generate_profile_matrix(
-    J: int, K: int, n_candidates: int, rng: RngSpec
-) -> np.ndarray:
+def generate_profile_matrix(J: int, K: int, rng: RngSpec) -> np.ndarray:
     """Row-stochastic K x J profile matrix with well-separated rows.
 
-    Draws iid Exp(1) candidate vectors, normalizes them onto the simplex,
-    and keeps the K of them maximizing the pairwise minimum distance in
-    projected coordinates, by an exact threshold and first-clique search
-    over every draw (lexicographic ties; exponential only on tied
-    distances).  Redraws, up to 100 times, on a degenerate cloud or
-    rank-deficient rows.  K = J is allowed (distinct simplex points are
-    linearly independent); estimation itself needs K < J.
+    Draws 10·K iid Exp(1) candidate vectors, normalizes them onto the
+    simplex, and keeps the K of them maximizing the pairwise minimum
+    distance in projected coordinates, by an exact threshold and
+    first-clique search over every draw (lexicographic ties; exponential
+    only on tied distances).  Redraws, up to 100 times, on a degenerate
+    cloud or rank-deficient rows.  K = J is allowed (distinct simplex
+    points are linearly independent); estimation itself needs 2 <= K < J.
     """
     if not 1 <= K <= J:
         raise ValueError("need 1 <= K <= J")
-    if n_candidates < 10 * K:
-        raise ValueError("n_candidates must be at least 10*K")
     gen = rng.generator()
     for _ in range(100):
-        cand = gen.standard_exponential((n_candidates, J))
+        cand = gen.standard_exponential((10 * K, J))
         cand /= cand.sum(axis=1, keepdims=True)
         try:
             z = geometry.intrinsic_projection(cand, J - 1)
@@ -321,7 +317,7 @@ def make_ground_truth(
         raise ValueError("need 1 <= K < J")
     if process not in PROCESSES:
         raise ValueError("process must be 'ar1' or 'mixture'")
-    H = generate_profile_matrix(J, K, 10 * K, rng.substream(PROFILE_STREAM))
+    H = generate_profile_matrix(J, K, rng.substream(PROFILE_STREAM))
     if process == "ar1":
         params = draw_ar1_params(K, rng.substream(PARAMS_STREAM))
         W = simulate_log_ar1(n, params, rng)

@@ -471,6 +471,20 @@ class TestEstimateCommand:
         err_line = capsys.readouterr().err.strip().splitlines()[-1]
         assert err_line.startswith("NegativeValue:")
 
+    def test_single_source_is_refused_before_output(self, tmp_path, capsys):
+        # With one source every attribution fraction is 1: nothing to estimate.
+        path = tmp_path / "y.csv"
+        rows = np.random.default_rng(4).lognormal(size=(30, 4))
+        path.write_text(
+            "a,b,c,d\n" + "".join(",".join(map(repr, r)) + "\n" for r in rows.tolist()),
+            encoding="utf-8",
+        )
+        out = tmp_path / "o"
+        assert main(["estimate", "--input", str(path), "--K", "1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("ValueError: K must be >= 2")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "body,k,category",
         [
@@ -810,6 +824,7 @@ class TestConvergenceStudyCommand:
             ["--n-grid", "200,0"],
             ["--n-grid", "200,200"],
             ["--J", "8", "--K", "8"],
+            ["--K", "1"],
         ],
     )
     def test_bad_design_fails_before_any_task(self, tmp_path, capsys, monkeypatch, flags):

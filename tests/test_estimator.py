@@ -274,15 +274,6 @@ class TestApportion:
             data = row_normalize(ConcentrationMatrix(vals))
         np.testing.assert_array_equal(data.ystar[list(rows)], est.h_star_hat)
 
-    def test_single_source(self):
-        rng = np.random.default_rng(54)
-        hstar = rng.dirichlet(np.ones(4))[None, :]
-        w = rng.lognormal(0.0, 0.3, size=(50, 1))
-        est = apportion(ConcentrationMatrix(w @ hstar), EstimatorConfig(K=1))
-        np.testing.assert_array_equal(est.phi_hat.values, np.ones((1, 4)))
-        assert est.diagnostics.search_used == "direct"
-        assert est.diagnostics.subset_rows == ()
-
     def test_stage_label_on_failure(self):
         y = ConcentrationMatrix(np.tile([[1.0, 2.0, 1.0]], (5, 1)))
         with pytest.raises(DegenerateCloud) as err:
@@ -353,6 +344,11 @@ class TestConfigValidation:
     def test_k_must_be_an_integer(self, k):
         with pytest.raises(ValueError, match="K must be an integer"):
             EstimatorConfig(K=k)
+
+    def test_k_must_be_at_least_two(self):
+        # One source has nothing to estimate: every fraction is 1.
+        with pytest.raises(ValueError, match=r"^K must be >= 2: "):
+            EstimatorConfig(K=1)
 
     def test_numpy_integer_k_becomes_int(self):
         cfg = EstimatorConfig(K=np.int64(3))

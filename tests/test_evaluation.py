@@ -435,7 +435,11 @@ class TestConvergenceStudy:
             assert e.log_volume >= g.log_volume - 1e-12
 
     def test_worker_count_does_not_change_results(self, small_both):
-        for design, sequential in small_both:
+        # test_failures_recorded_not_fatal's design: a failure record from a
+        # forked worker equals the caller's too.
+        failing = StudyDesign(J=6, K=3, n_grid=(3, 60), replicates=2, master_seed=5)
+        cases = [*small_both, (failing, convergence_study(failing))]
+        for design, sequential in cases:
             for workers in (2, 3, 8):
                 parallel = convergence_study(design, workers=workers)
                 assert _strip_runtime(sequential) == _strip_runtime(parallel), workers
@@ -558,6 +562,9 @@ class TestConvergenceStudy:
             StudyDesign(search="both")
         with pytest.raises(ValueError):
             StudyDesign(K=8, J=8)
+        # One source: every attribution fraction is 1, nothing to estimate.
+        with pytest.raises(ValueError, match=r"^need 2 <= K < J$"):
+            StudyDesign(K=1)
         with pytest.raises(ValueError):
             StudyDesign(process="iid")
         # What the generator would reject, before any task runs.
@@ -599,5 +606,7 @@ class TestConvergenceStudy:
         failed = [r for r in records if r.error]
         fine = [r for r in records if not r.error]
         assert len(failed) == 2 and all(r.n == 3 for r in failed)
-        assert all("[apportion]" in r.error and math.isnan(r.nrmse) for r in failed)
+        assert all("[extract_candidates]" in r.error for r in failed)
+        assert all(r.nrmse is None and r.nfd is None for r in failed)
+        assert all(r.log_volume is None for r in failed)
         assert len(fine) == 2 and all(np.isfinite(r.nrmse) for r in fine)

@@ -47,20 +47,20 @@ def lag1_autocorr(x):
 
 class TestProfileMatrix:
     def test_two_sources_on_segment(self):
-        h = generate_profile_matrix(2, 2, 30, RngSpec(1))
+        h = generate_profile_matrix(2, 2, RngSpec(1))
         np.testing.assert_allclose(h.sum(axis=1), 1.0, atol=1e-12)
         assert np.abs(h[0] - h[1]).max() > 1e-6
 
     def test_full_rank_by_oracle(self):
-        h = generate_profile_matrix(8, 3, 500, RngSpec(2))
+        h = generate_profile_matrix(8, 3, RngSpec(2))
         assert h.shape == (3, 8)
         assert h.min() > 0
         np.testing.assert_allclose(h.sum(axis=1), 1.0, atol=1e-12)
         assert np.linalg.matrix_rank(h) == 3
 
     def test_deterministic(self):
-        a = generate_profile_matrix(6, 3, 40, RngSpec(3, 5))
-        b = generate_profile_matrix(6, 3, 40, RngSpec(3, 5))
+        a = generate_profile_matrix(6, 3, RngSpec(3, 5))
+        b = generate_profile_matrix(6, 3, RngSpec(3, 5))
         np.testing.assert_array_equal(a, b)
 
 
@@ -75,7 +75,7 @@ class TestProfileMatrix:
     def test_bytes_pinned(self, seed, digest):
         # Digests of the output of a plain itertools maximin enumeration
         # over the hull vertices of the 40 draws.
-        h = generate_profile_matrix(8, 4, 40, RngSpec(seed))
+        h = generate_profile_matrix(8, 4, RngSpec(seed))
         assert hashlib.sha256(h.tobytes()).hexdigest() == digest
 
     @pytest.mark.parametrize(
@@ -88,7 +88,7 @@ class TestProfileMatrix:
     )
     def test_bytes_pinned_simulate_shape(self, seed, digest):
         # The (J, K) = (8, 3) of `apportion simulate`, same reference.
-        h = generate_profile_matrix(8, 3, 30, RngSpec(seed))
+        h = generate_profile_matrix(8, 3, RngSpec(seed))
         assert hashlib.sha256(h.tobytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("J,K,n_candidates", [(8, 4, 40), (20, 8, 80)])
@@ -96,13 +96,22 @@ class TestProfileMatrix:
         def no_hull(*args, **kwargs):
             raise AssertionError("the profile generator must not build a hull")
 
+        projected = []
+        projection = geometry.intrinsic_projection
+
+        def spy(points, *args, **kwargs):
+            projected.append(points.shape)
+            return projection(points, *args, **kwargs)
+
         monkeypatch.setattr(geometry, "hull_vertices", no_hull)
-        h = generate_profile_matrix(J, K, n_candidates, RngSpec(0))
+        monkeypatch.setattr(geometry, "intrinsic_projection", spy)
+        h = generate_profile_matrix(J, K, RngSpec(0))
         assert h.shape == (K, J)
+        assert projected == [(n_candidates, J)]
 
     @pytest.mark.parametrize("J", [2, 5, 8])
     def test_square_is_full_rank_and_row_stochastic(self, J):
-        h = generate_profile_matrix(J, J, 10 * J, RngSpec(4))
+        h = generate_profile_matrix(J, J, RngSpec(4))
         assert h.shape == (J, J)
         assert h.min() >= 0
         np.testing.assert_allclose(h.sum(axis=1), 1.0, atol=1e-12)
@@ -124,7 +133,7 @@ class TestProfileMatrix:
             over_hull = tuple(verts[list(_maximin_subset(z[verts], K))])
             pick = _maximin_subset(z, K)
             assert pick == over_hull, seed
-            h = generate_profile_matrix(J, K, n_candidates, RngSpec(seed))
+            h = generate_profile_matrix(J, K, RngSpec(seed))
             np.testing.assert_array_equal(h, cand[list(pick)])
 
 
@@ -196,9 +205,12 @@ class TestMaximinSubset:
         # The thresholds come from the upper triangle sorted in place, not
         # from a sorted copy of all m^2 distances.
         m = 1000
+        cand = RngSpec(0).generator().standard_exponential((m, 8))
+        cand /= cand.sum(axis=1, keepdims=True)
+        z = geometry.intrinsic_projection(cand, rank_cap=7)
         tracemalloc.start()
         try:
-            generate_profile_matrix(8, 4, m, RngSpec(0))
+            _maximin_subset(z, 4)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
