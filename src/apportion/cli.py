@@ -3,8 +3,9 @@
 All numeric CSV output uses 17 significant digits (lossless for float64),
 UTF-8, and LF line endings, so identical configs and seeds reproduce
 byte-identical files.  Wall-clock timestamps live only in the manifest.
-Errors print one machine-parsable line (``Category: detail``) to stderr
-and exit nonzero.
+Errors print one machine-parsable line (``Category: detail``) to stderr,
+after a ``warning:`` line for each warning issued before the failure, and
+exit nonzero.
 """
 
 from __future__ import annotations
@@ -210,14 +211,7 @@ def _existing_file(arg: str) -> Path:
 
 def _cmd_simulate(args) -> int:
     rng = RngSpec(args.seed)
-    y, truth = make_ground_truth(
-        args.n,
-        args.J,
-        args.K,
-        args.process,
-        rng,
-        plant_corners=args.plant_corners,
-    )
+    y, truth = make_ground_truth(args.n, args.J, args.K, args.process, rng)
     source_labels = truth.phi_true.source_labels
     out = _out_dir(args.out)
     _write_matrix(out / "y.csv", y.values, y.pollutant_names)
@@ -233,7 +227,6 @@ def _cmd_simulate(args) -> int:
         "J": args.J,
         "K": args.K,
         "seed": args.seed,
-        "plant_corners": args.plant_corners,
     }
     _write_manifest(
         out,
@@ -385,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--J", type=int, required=True)
     sim.add_argument("--K", type=int, required=True)
     sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--plant-corners", action="store_true")
     sim.add_argument("--out", required=True)
     sim.set_defaults(func=_cmd_simulate)
 
@@ -425,6 +417,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ApportionError, ValueError, OSError) as exc:
+        for warning in getattr(exc, "warnings", ()):
+            print(f"warning: {warning}", file=sys.stderr)
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -82,10 +82,6 @@ class ConcentrationMatrix:
         check_unique("pollutant name", self.pollutant_names)
 
     @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    @property
     def n_pollutants(self) -> int:
         return self.values.shape[1]
 
@@ -120,7 +116,6 @@ class AttributionMatrix:
     """Column-stochastic K x J attribution fractions."""
 
     values: np.ndarray
-    source_labels: tuple[str, ...] = ()
     pollutant_names: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -132,18 +127,17 @@ class AttributionMatrix:
             raise ValueError("attribution entries must lie in [0, 1]")
         if np.max(np.abs(vals.sum(axis=0) - 1.0)) > 1e-10:
             raise ValueError("attribution columns must sum to 1 within 1e-10")
-        if not self.source_labels:
-            object.__setattr__(
-                self, "source_labels", _default_names("S", vals.shape[0])
-            )
-        elif len(self.source_labels) != vals.shape[0]:
-            raise ValueError("one label per source row required")
         if not self.pollutant_names:
             object.__setattr__(
                 self, "pollutant_names", _default_names("P", vals.shape[1])
             )
         elif len(self.pollutant_names) != vals.shape[1]:
             raise ValueError("one name per pollutant column required")
+
+    @property
+    def source_labels(self) -> tuple[str, ...]:
+        """``S1..SK``: sources are identified only up to their order."""
+        return _default_names("S", self.values.shape[0])
 
 
 @dataclass(frozen=True)
@@ -192,12 +186,13 @@ class ApportionmentEstimate:
 
 
 @contextmanager
-def _stage(name: str):
+def _stage(name: str, caught: list):
+    """Label an ApportionError with the stage and the warnings caught so far."""
     try:
         yield
     except ApportionError as exc:
-        if exc.stage is None:
-            exc.stage = name
+        exc.stage = name
+        exc.warnings = tuple(str(w.message) for w in caught)
         raise
 
 
@@ -292,7 +287,6 @@ def estimate_mu_tilde(y: ConcentrationMatrix, hstar_hat: np.ndarray) -> np.ndarr
 def compute_phi(
     m_tilde: np.ndarray,
     hstar_hat: np.ndarray,
-    source_labels: tuple[str, ...] = (),
     pollutant_names: tuple[str, ...] = (),
 ) -> AttributionMatrix:
     """Column-stochastic attribution fractions m_k H*_kj / sum_l m_l H*_lj."""
@@ -308,7 +302,7 @@ def compute_phi(
     if bad.size:
         j = int(bad[0])
         raise ZeroDenominator(j, pollutant_names[j] if pollutant_names else None)
-    return AttributionMatrix(num / den, source_labels, pollutant_names)
+    return AttributionMatrix(num / den, pollutant_names)
 
 
 def apportion(y: ConcentrationMatrix, cfg: EstimatorConfig) -> ApportionmentEstimate:
@@ -317,22 +311,23 @@ def apportion(y: ConcentrationMatrix, cfg: EstimatorConfig) -> ApportionmentEsti
     One path for every K >= 2: row_normalize, extract_candidates,
     estimate_H_star, estimate_mu_tilde, compute_phi.  Deterministic given
     (y, cfg).  Pipeline warnings are collected into the diagnostics rather
-    than re-emitted; errors carry the stage name.
+    than re-emitted; errors carry the stage name and the warnings issued
+    before them.
     """
     if cfg.K >= y.n_pollutants:
         raise ValueError("K must be smaller than the number of pollutants")
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        with _stage("row_normalize"):
+        with _stage("row_normalize", caught):
             data = row_normalize(y)
-        with _stage("extract_candidates"):
+        with _stage("extract_candidates", caught):
             cands = extract_candidates(data, cfg)
-        with _stage("estimate_H_star"):
+        with _stage("estimate_H_star", caught):
             hstar, subset, used = estimate_H_star(cands, cfg)
-        with _stage("estimate_mu_tilde"):
+        with _stage("estimate_mu_tilde", caught):
             m_tilde = estimate_mu_tilde(y, hstar)
-        with _stage("compute_phi"):
+        with _stage("compute_phi", caught):
             phi = compute_phi(m_tilde, hstar, pollutant_names=y.pollutant_names)
 
     n_hull = len(cands.indices)

@@ -15,7 +15,7 @@ import pickle
 import signal
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NoReturn
 
 import numpy as np
@@ -58,13 +58,14 @@ class AlignmentResult:
 @dataclass(frozen=True)
 class MetricsRecord:
     """One study task; a failed task (``error`` set) has no metrics, so
-    ``nrmse``, ``nfd`` and ``log_volume`` are None."""
+    ``nrmse``, ``nfd`` and ``log_volume`` are None.  Equality ignores the
+    wall-clock ``runtime_seconds``."""
 
     n: int
     replicate: int
     nrmse: float | None
     nfd: float | None
-    runtime_seconds: float
+    runtime_seconds: float = field(compare=False)
     search_used: str
     log_volume: float | None = None
     error: str | None = None

@@ -1,7 +1,8 @@
 """Error and warning types shared across the package.
 
-Errors raised inside the estimation pipeline derive from ApportionError and
-carry an optional ``stage`` label naming the pipeline step that failed.
+Errors raised inside the estimation pipeline derive from ApportionError;
+``estimator.apportion`` sets ``stage``, the pipeline step that failed, and
+``warnings``, the messages of the warnings issued before it failed.
 """
 
 from __future__ import annotations
@@ -10,9 +11,8 @@ from __future__ import annotations
 class ApportionError(Exception):
     """Base class for all package errors."""
 
-    def __init__(self, message: str, stage: str | None = None):
-        super().__init__(message)
-        self.stage = stage
+    stage: str | None = None
+    warnings: tuple[str, ...] = ()
 
     def __str__(self) -> str:
         base = super().__str__()
@@ -40,13 +40,12 @@ class TooFewCandidates(ApportionError):
 class ZeroDenominator(ApportionError):
     """A pollutant column is unexplained by every source."""
 
-    def __init__(self, column: int, name: str | None = None, stage: str | None = None):
+    def __init__(self, column: int, name: str | None = None):
         label = f"column {column}" if name is None else f"column {column} ({name!r})"
         super().__init__(
             f"{label} has zero attribution denominator: no selected profile row"
             " puts mass on this pollutant, as happens when values below a"
-            " detection limit are recorded as zeros",
-            stage,
+            " detection limit are recorded as zeros"
         )
         self.column = column
 

@@ -341,7 +341,7 @@ def test_import_loads_no_scipy_and_deferred_qhull_works():
     # The hull checks run first, so they are the interpreter's first use of
     # qhull; the studies after them run tasks in the caller too.
     code = """
-import dataclasses, sys, warnings
+import sys, warnings
 import numpy as np
 import apportion, apportion.cli
 from apportion import geometry
@@ -372,8 +372,7 @@ assert verts.tolist() == list(range(n))
 design = StudyDesign(J=5, K=3, n_grid=(60, 120), replicates=2)
 parallel = convergence_study(design, workers=2)
 serial = convergence_study(design, workers=1)
-strip = lambda records: [dataclasses.replace(r, runtime_seconds=0.0) for r in records]
-assert strip(parallel) == strip(serial)
+assert parallel == serial
 assert "concurrent.futures.process" not in sys.modules
 """
     result = subprocess.run(
@@ -396,6 +395,15 @@ class TestSimulateCommand:
         main(["simulate", "--n", "10", "--J", "5", "--K", "2", "--out", str(out)])
         raw = (out / "y.csv").read_bytes()
         assert b"\r" not in raw
+
+    def test_plant_corners_is_not_a_flag(self, tmp_path, capsys):
+        out = tmp_path / "sim"
+        args = ["simulate", "--n", "10", "--J", "5", "--K", "2", "--plant-corners"]
+        with pytest.raises(SystemExit) as err:
+            main(args + ["--out", str(out)])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --plant-corners" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEstimateCommand:
@@ -483,6 +491,18 @@ class TestEstimateCommand:
         assert main(["estimate", "--input", str(path), "--K", "1", "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("ValueError: K must be >= 2")
+        assert not out.exists()
+
+    def test_warnings_come_before_the_error_line(self, tmp_path, capsys):
+        # The zero row is dropped before the row count, so 3 rows read as 2.
+        path = tmp_path / "y.csv"
+        path.write_text("a,b,c,d\n1,2,3,4\n0,0,0,0\n5,1,2,7\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["estimate", "--input", str(path), "--K", "3", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: dropped 1 zero-concentration rows",
+            "TooFewCandidates: [extract_candidates] need at least K+1=4 rows, got 2",
+        ]
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ from conftest import aligned_estimate, lp_hull_vertices, random_row_stochastic
 
 from apportion import geometry
 from apportion.estimator import (
+    AttributionMatrix,
     ConcentrationMatrix,
     EstimatorConfig,
     apportion,
@@ -279,6 +281,14 @@ class TestApportion:
         with pytest.raises(DegenerateCloud) as err:
             apportion(y, EstimatorConfig(K=2))
         assert err.value.stage == "extract_candidates"
+        assert err.value.warnings == ()
+
+    def test_failure_keeps_the_warnings_issued_before_it(self):
+        y = ConcentrationMatrix(np.array([[1.0, 2, 3, 4], [0, 0, 0, 0], [5, 1, 2, 7]]))
+        with pytest.raises(TooFewCandidates) as err:
+            apportion(y, EstimatorConfig(K=3))
+        assert err.value.stage == "extract_candidates"
+        assert err.value.warnings == ("dropped 1 zero-concentration rows",)
 
     def test_deterministic(self):
         y, _ = make_ground_truth(200, 8, 3, "ar1", RngSpec(77))
@@ -358,3 +368,49 @@ class TestConfigValidation:
         y = ConcentrationMatrix(np.ones((10, 3)) + np.eye(10, 3))
         with pytest.raises(ValueError):
             apportion(y, EstimatorConfig(K=3))
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: ConcentrationMatrix(np.ones(3)), "expected an (n, J) matrix"),
+        (
+            lambda: ConcentrationMatrix(np.ones((2, 3)), ("a", "b")),
+            "one name per pollutant column required",
+        ),
+        (lambda: AttributionMatrix(np.ones(3)), "expected a (K, J) matrix"),
+        (
+            lambda: AttributionMatrix(np.array([[1.5, 1.0], [-0.5, 0.0]])),
+            "attribution entries must lie in [0, 1]",
+        ),
+        (
+            lambda: AttributionMatrix(np.array([[0.5, 0.5], [0.4, 0.5]])),
+            "attribution columns must sum to 1 within 1e-10",
+        ),
+        (
+            lambda: AttributionMatrix(np.eye(2), pollutant_names=("a",)),
+            "one name per pollutant column required",
+        ),
+        (
+            lambda: compute_phi(np.ones(3), np.eye(2)),
+            "m_tilde must have one entry per profile row",
+        ),
+        (
+            lambda: compute_phi(np.array([1.0, -1.0]), np.eye(2)),
+            "m_tilde must be non-negative",
+        ),
+    ],
+    ids=[
+        "concentrations-not-2d",
+        "concentrations-name-count",
+        "attribution-not-2d",
+        "attribution-outside-unit-interval",
+        "attribution-column-sums",
+        "attribution-name-count",
+        "phi-shape-mismatch",
+        "phi-negative-means",
+    ],
+)
+def test_invalid_input_raises(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import re
 import warnings
 
 import numpy as np
@@ -390,10 +391,6 @@ class TestDistancesToPolytope:
         )
 
 
-def _strip_runtime(records):
-    return [dataclasses.replace(r, runtime_seconds=0.0) for r in records]
-
-
 def _assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -442,14 +439,14 @@ class TestConvergenceStudy:
         for design, sequential in cases:
             for workers in (2, 3, 8):
                 parallel = convergence_study(design, workers=workers)
-                assert _strip_runtime(sequential) == _strip_runtime(parallel), workers
+                assert sequential == parallel, workers
         _assert_no_child_left()
 
     def test_without_fork_runs_serially(self, small_both, monkeypatch):
         monkeypatch.delattr(os, "fork")
         for design, sequential in small_both:
             records = convergence_study(design, workers=4)
-            assert _strip_runtime(records) == _strip_runtime(sequential)
+            assert records == sequential
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_worker_count_below_one_raises(self, workers):
@@ -610,3 +607,45 @@ class TestConvergenceStudy:
         assert all(r.nrmse is None and r.nfd is None for r in failed)
         assert all(r.log_volume is None for r in failed)
         assert len(fine) == 2 and all(np.isfinite(r.nrmse) for r in fine)
+
+
+@pytest.mark.parametrize(
+    "build,error,message",
+    [
+        (
+            lambda: StudyDesign(replicates=0),
+            ValueError,
+            "need at least one replicate and one sample size",
+        ),
+        (
+            lambda: StudyDesign(n_grid=()),
+            ValueError,
+            "need at least one replicate and one sample size",
+        ),
+        (
+            lambda: nrmse(np.eye(2), np.eye(3)),
+            ShapeMismatch,
+            "shapes (2, 2) and (3, 3) do not match",
+        ),
+        (
+            lambda: nfd(np.eye(2), np.eye(3)),
+            ShapeMismatch,
+            "shapes (2, 2) and (3, 3) do not match",
+        ),
+        (
+            lambda: hausdorff_to_polytope(np.eye(3), np.eye(2)),
+            ShapeMismatch,
+            "ystar and hstar must share the ambient dimension",
+        ),
+    ],
+    ids=[
+        "study-no-replicate",
+        "study-no-sample-size",
+        "nrmse-shape-mismatch",
+        "nfd-shape-mismatch",
+        "hausdorff-dimension-mismatch",
+    ],
+)
+def test_invalid_input_raises(build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build()

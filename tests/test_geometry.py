@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -594,3 +595,67 @@ class TestAffineRightInverse:
             r = affine_right_inverse(h)
             haug = np.hstack([h, np.ones((3, 1))])
             assert np.abs(haug @ r - np.eye(3)).max() <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "build,error,message",
+    [
+        (lambda: VertexSubset((0, 0), 0.0), ValueError, "subset indices must be distinct"),
+        (
+            lambda: VertexSubset((0, 1), math.nan),
+            ValueError,
+            "log_volume must be finite or -inf",
+        ),
+        (
+            lambda: intrinsic_projection(np.array([[0.5, 0.5]]), 1),
+            DegenerateCloud,
+            "need at least two points to project",
+        ),
+        (lambda: intrinsic_projection(np.eye(3), 0), ValueError, "rank_cap must be >= 1"),
+        (lambda: hull_vertices(np.zeros(3)), ValueError, "expected an (n, d) array"),
+        (lambda: hull_vertices(np.zeros((3, 0))), ValueError, "dimension must be >= 1"),
+        (
+            lambda: hull_vertices(np.eye(2)),
+            DegenerateCloud,
+            "2 points cannot span a 2-dimensional hull",
+        ),
+        (
+            lambda: simplex_log_volume(np.zeros((1, 2))),
+            ValueError,
+            "need at least two vertices",
+        ),
+        (
+            lambda: simplex_log_volume(np.zeros((3, 1))),
+            ValueError,
+            "3 points need ambient dimension >= 2",
+        ),
+        (lambda: affine_right_inverse(np.ones(3)), ValueError, "expected a (K, J) matrix"),
+        (
+            lambda: affine_right_inverse(np.array([[1.5, -0.5]])),
+            ValueError,
+            "profile matrix must be non-negative",
+        ),
+        (
+            lambda: affine_right_inverse(np.array([[0.5, 0.6]])),
+            ValueError,
+            "profile rows must sum to 1 within 1e-8",
+        ),
+    ],
+    ids=[
+        "subset-repeated-index",
+        "subset-nan-volume",
+        "projection-one-point",
+        "projection-rank-cap",
+        "hull-not-2d",
+        "hull-no-dimension",
+        "hull-too-few-points",
+        "volume-one-vertex",
+        "volume-low-dimension",
+        "right-inverse-not-2d",
+        "right-inverse-negative",
+        "right-inverse-off-simplex",
+    ],
+)
+def test_invalid_input_raises(build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build()
