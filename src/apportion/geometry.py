@@ -107,7 +107,9 @@ def intrinsic_projection(ystar: np.ndarray, rank_cap: int) -> np.ndarray:
 
     reduced = ystar[:, :-1]
     centered = reduced - reduced.mean(axis=0)
-    _, sing, vt = np.linalg.svd(centered, full_matrices=False)
+    # The SVD of the triangular factor R has the cloud's singular values
+    # and right-singular vectors without forming its n x (J-1) U.
+    _, sing, vt = np.linalg.svd(np.linalg.qr(centered, mode="r"), full_matrices=False)
     detected = _numerical_rank(sing, n)
     if detected == 0:
         raise DegenerateCloud("all rows identical: centered cloud has rank 0")

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import dataclasses
+import decimal
 import hashlib
 import io
 import json
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from apportion import cli, evaluation
 from apportion.cli import load_concentrations, main
@@ -248,6 +250,24 @@ def reference_matrix_bytes(path, matrix, names):
     return path.read_bytes()
 
 
+def assert_writes_like_percent_g(tmp_path, values, j):
+    """``_write_matrix`` on ``values`` as rows of ``j`` writes, cell by
+    cell, the text of ``"%.17g" % v``; the first mismatches are listed."""
+    matrix = np.asarray(values, dtype=float).reshape(-1, j)
+    path = tmp_path / "matrix.csv"
+    cli._write_matrix(path, matrix, [f"P{i}" for i in range(j)])
+    rows = matrix.tolist()
+    expected = ",".join(f"P{i}" for i in range(j)) + "\n"
+    expected += "".join(",".join(["%.17g" % v for v in row]) + "\n" for row in rows)
+    got = path.read_text(encoding="ascii")
+    if got != expected:
+        cells = [c for line in got.splitlines()[1:] for c in line.split(",")]
+        wanted = ["%.17g" % v for row in rows for v in row]
+        assert len(cells) == len(wanted)
+        mismatches = [(v, c, w) for v, c, w in zip(matrix.ravel(), cells, wanted) if c != w]
+        assert mismatches[:5] == [], f"{len(mismatches)} mismatched cells"
+
+
 def reference_scatter_bytes(path, est):
     """hull_scatter.csv written cell by cell through csv.writer, with
     candidate rows and 0/1 flags as ints and coordinates as %.17g."""
@@ -278,6 +298,82 @@ class TestWriteMatrix:
         cli._write_matrix(tmp_path / "fast.csv", matrix, names)
         expected = reference_matrix_bytes(tmp_path / "ref.csv", matrix, names)
         assert (tmp_path / "fast.csv").read_bytes() == expected
+
+    # Differential tests against "%.17g" % v, cell by cell.
+
+    def test_random_bit_patterns(self, tmp_path):
+        rng = np.random.default_rng(25)
+        bits = rng.integers(0, 2**64, size=10**6, dtype=np.uint64)
+        # Both signs of zero and of a run of subnormals, whose exponent
+        # bits random patterns rarely draw.
+        tiny = rng.integers(0, 2**52, size=4096, dtype=np.uint64)
+        zeros = np.array([0, 2**63], dtype=np.uint64)
+        bits = np.concatenate([bits, tiny, tiny | np.uint64(2**63), zeros])
+        assert bits.dtype == np.uint64
+        assert_writes_like_percent_g(tmp_path, bits.view(np.float64), 2)
+
+    def test_random_bit_patterns_in_fixed_notation(self, tmp_path):
+        # Exponents of 2**-14 to 2**47: every binade that meets the digit
+        # kernel's range [1e-4, 1e14), and those just outside it.
+        rng = np.random.default_rng(26)
+        size = 2**20
+        sign = rng.integers(0, 2, size=size, dtype=np.uint64) << np.uint64(63)
+        exponent = rng.integers(1023 - 14, 1023 + 48, size=size, dtype=np.uint64)
+        fraction = rng.integers(0, 2**52, size=size, dtype=np.uint64)
+        bits = sign | (exponent << np.uint64(52)) | fraction
+        assert_writes_like_percent_g(tmp_path, bits.view(np.float64), 8)
+
+    def test_bounds_and_powers_of_ten(self, tmp_path):
+        anchors = np.concatenate([[1e-4, 1e14], 10.0 ** np.arange(-6, 18)])
+        values = [anchors]
+        for _ in range(2):
+            values.append(np.nextafter(values[-1], np.inf))
+        below = [anchors]
+        for _ in range(2):
+            below.append(np.nextafter(below[-1], 0.0))
+        values = np.concatenate(values + below[1:])
+        assert_writes_like_percent_g(tmp_path, np.concatenate([values, -values]), 1)
+
+    def test_integers(self, tmp_path):
+        rng = np.random.default_rng(27)
+        powers = 2.0 ** np.arange(54)
+        tens = 10.0 ** np.arange(16)
+        values = np.concatenate(
+            [
+                rng.integers(0, 2**53, size=2**16, endpoint=True).astype(float),
+                rng.integers(0, 10**6, size=2**12).astype(float),
+                powers, powers - 1, powers + 1, tens, tens - 1, tens + 1,
+            ]
+        )
+        assert_writes_like_percent_g(tmp_path, np.concatenate([values, -values]), 4)
+
+    def test_ties_round_half_even(self, tmp_path):
+        # m / 2**q with m odd is exactly m * 5**q / 10**q, whose last digit
+        # is 5; with 18 significant digits, rounding to 17 is a tie.
+        rng = np.random.default_rng(28)
+        ties = []
+        for q in range(1, 50):
+            lo, hi = -(-(10**17) // 5**q), min(10**18 // 5**q, 2**53)
+            if lo < hi:
+                m = rng.integers(lo, hi, size=128) | 1
+                ties += [int(v) / 2**q for v in m if v < hi]
+        for v in ties:
+            digits = decimal.Decimal(v).as_tuple().digits
+            assert len(digits) == 18 and digits[-1] == 5, v
+        assert len(ties) > 2000
+        assert_writes_like_percent_g(tmp_path, np.array(ties + [-v for v in ties]), 2)
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(1, 40), st.integers(1, 9)),
+            elements=st.floats(allow_nan=False, allow_infinity=False),
+        )
+    )
+    def test_matrices_match_percent_g(self, matrix):
+        with tempfile.TemporaryDirectory() as tmp_dir:
+            assert_writes_like_percent_g(Path(tmp_dir), matrix, matrix.shape[1])
 
 
 def test_import_cli_loads_no_scipy_signal_or_optimize():
@@ -626,6 +722,43 @@ def test_estimate_bytes_pinned(tmp_path, capsys, simulate, flags, zero_row, dige
         name: hashlib.sha256((est / name).read_bytes()).hexdigest()
         for name in digests
     }
+    assert got == digests
+
+
+# sha256 of each output of the runs in test_simulate_bytes_pinned, taken
+# when every matrix was formatted cell by cell with "%.17g".
+DIGESTS_SIMULATE_AR1 = {
+    "y.csv": "fbcc4738846f3b40778fb51d9f20a781c1412c6310451dd5be1b41038a52c0c1",
+    "w_true.csv": "129f11d0396ef3b88301dee6d3ebbe9b4f18d6763642c6e924b6fa8de63dd701",
+    "h_true.csv": "fb9d66f08f6e5331f28fb6ff85d5e139e7928412d561bb5d89b5b36f9ea5e87c",
+    "mu_true.csv": "56483322ae0af80a065f03d61d7e33c569333ace3260f5b79a8545f7824ece65",
+    "phi_true.csv": "f89641db3e1dea89c04540e32efcee2b8aa808f25d128a9917d25e57932d072b",
+}
+
+DIGESTS_SIMULATE_MIXTURE = {
+    "y.csv": "98a26d93dfc6e6c940d5f6e07dfd1cf96e072948693926589fafe808d90b97ef",
+    "w_true.csv": "2f9fa9cba6e03d184d6f2e24558e9f0867c03e0e927f6f3a376959a07e9c2c33",
+    "h_true.csv": "2904201aa4ca342c57dfe3e4e8459d372bfcef71d8f2047931df7eb85a8d6d22",
+    "mu_true.csv": "9981fa2aea7d23d615fbcc76774bb1893330c644aa74e6aac52c5df1bc3c79c4",
+    "phi_true.csv": "f1ff4d1186bd29b85f75a12fe50035788c2ea80287d9869ea2985c48e32fa877",
+}
+
+
+@pytest.mark.parametrize(
+    "simulate,digests",
+    [
+        (["--process", "ar1", "--J", "8", "--K", "3", "--n", "2000", "--seed", "1"], DIGESTS_SIMULATE_AR1),
+        (
+            ["--process", "mixture", "--J", "8", "--K", "4", "--n", "1500", "--seed", "2"],
+            DIGESTS_SIMULATE_MIXTURE,
+        ),
+    ],
+    ids=["ar1", "mixture"],
+)
+def test_simulate_bytes_pinned(tmp_path, simulate, digests):
+    sim = tmp_path / "sim"
+    assert main(["simulate", *simulate, "--out", str(sim)]) == 0
+    got = {name: hashlib.sha256((sim / name).read_bytes()).hexdigest() for name in digests}
     assert got == digests
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import re
 import time
 import tracemalloc
 
@@ -11,7 +12,9 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from apportion import geometry
+from apportion.exceptions import DegenerateCloud, GenerationFailed
 from apportion.synthgen import (
+    GroundTruth,
     LogAR1Params,
     LognormalMixtureParams,
     RngSpec,
@@ -454,3 +457,110 @@ class TestMakeGroundTruth:
         assert truth.W.shape == (200, K) and truth.H.shape == (K, J)
         assert np.linalg.matrix_rank(truth.H) == K
         np.testing.assert_allclose(truth.phi_true.values.sum(axis=0), 1.0, atol=1e-12)
+
+
+def _mixture(weights=((0.4, 0.6),), means=((0.0, 1.0),), sds=((0.5, 0.2),)):
+    return LognormalMixtureParams(
+        *(tuple(np.array(v, dtype=float) for v in field) for field in (weights, means, sds))
+    )
+
+
+_AR1 = LogAR1Params(phi=[0.8], mu_g=[0.0], sigma_eps=[0.3])
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (
+            lambda: LogAR1Params(phi=[0.8, 0.5], mu_g=[0.1], sigma_eps=[0.3, 0.2]),
+            "phi, mu_g, sigma_eps must be equal-length vectors",
+        ),
+        (
+            lambda: LogAR1Params(phi=[0.8], mu_g=[0.1], sigma_eps=[-0.3]),
+            "sigma_eps must be non-negative",
+        ),
+        (
+            lambda: LognormalMixtureParams((np.ones(1),), (), (np.ones(1),)),
+            "one (weights, means, sds) triple per source",
+        ),
+        (lambda: _mixture(means=((0.0,),)), "component vectors must match in length"),
+        (lambda: _mixture(weights=((0.5, 0.6),)), "weights must lie on the simplex"),
+        (lambda: _mixture(weights=((1.5, -0.5),)), "weights must lie on the simplex"),
+        (lambda: _mixture(sds=((0.5, -0.2),)), "component sds must be non-negative"),
+        (
+            lambda: GroundTruth(W=-np.ones((2, 1)), H=np.ones((1, 3)), mu=np.ones(1), phi_true=None),
+            "W and H must be non-negative",
+        ),
+        (
+            lambda: GroundTruth(W=np.ones((2, 2)), H=np.ones((2, 3)), mu=np.ones(2), phi_true=None),
+            "H must have full row rank",
+        ),
+        (lambda: generate_profile_matrix(3, 4, RngSpec(1)), "need 1 <= K <= J"),
+        (lambda: generate_profile_matrix(3, 0, RngSpec(1)), "need 1 <= K <= J"),
+        (lambda: simulate_log_ar1(0, _AR1, RngSpec(1)), "n must be >= 1"),
+        (lambda: simulate_lognormal_mixture(0, _mixture(), RngSpec(1)), "n must be >= 1"),
+        (lambda: draw_ar1_params(0, RngSpec(1)), "K must be >= 1"),
+        (lambda: draw_mixture_params(0, RngSpec(1)), "K must be >= 1"),
+        (lambda: true_phi(np.ones(3), np.eye(2)), "mu must have one entry per row of H"),
+        (lambda: true_phi(np.ones((2, 1)), np.eye(2)), "mu must have one entry per row of H"),
+        (
+            lambda: true_phi(np.array([1.0, -1.0]), np.eye(2)),
+            "mu must be non-negative with a positive entry",
+        ),
+        (lambda: true_phi(np.zeros(2), np.eye(2)), "mu must be non-negative with a positive entry"),
+        (lambda: make_ground_truth(50, 8, 8, "ar1", RngSpec(1)), "need 1 <= K < J"),
+        (lambda: make_ground_truth(50, 8, 0, "ar1", RngSpec(1)), "need 1 <= K < J"),
+    ],
+    ids=[
+        "ar1-unequal-lengths",
+        "ar1-negative-sigma",
+        "mixture-triple-count",
+        "mixture-component-lengths",
+        "mixture-weights-sum",
+        "mixture-weights-negative",
+        "mixture-negative-sds",
+        "truth-negative",
+        "truth-rank-deficient",
+        "profile-K-above-J",
+        "profile-K-zero",
+        "ar1-no-rows",
+        "mixture-no-rows",
+        "draw-ar1-no-sources",
+        "draw-mixture-no-sources",
+        "true-phi-mu-length",
+        "true-phi-mu-not-vector",
+        "true-phi-negative-mu",
+        "true-phi-zero-mu",
+        "ground-truth-K-equals-J",
+        "ground-truth-K-zero",
+    ],
+)
+def test_invalid_input_raises(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_generation_fails_after_100_degenerate_draws(monkeypatch):
+    calls = []
+
+    def degenerate(cand, rank_cap):
+        calls.append(len(cand))
+        raise DegenerateCloud("all rows identical: centered cloud has rank 0")
+
+    monkeypatch.setattr(geometry, "intrinsic_projection", degenerate)
+    with pytest.raises(
+        GenerationFailed, match="^no full-row-rank profile matrix in 100 attempts$"
+    ):
+        generate_profile_matrix(5, 3, RngSpec(1))
+    assert calls == [30] * 100
+
+
+def test_ar1_raises_when_dgtsv_fails(monkeypatch):
+    from scipy.linalg import lapack
+
+    def failing(dl, d, du, b):
+        return dl, d, du, b, 3
+
+    monkeypatch.setattr(lapack, "dgtsv", failing)
+    with pytest.raises(RuntimeError, match="^dgtsv failed with info=3$"):
+        simulate_log_ar1(5, _AR1, RngSpec(1))
