@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numbers
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,12 +27,11 @@ from .exceptions import (
     DegenerateCloud,
     DroppedRowsWarning,
     NegativeMeanWarning,
-    TooFewCandidates,
     ZeroDenominator,
 )
 from .geometry import VertexSubset
 
-SEARCH_MODES = ("auto", "greedy", "exhaustive")
+SEARCH_MODES = ("auto", "greedy")
 
 
 def check_integer(name: str, value) -> int:
@@ -223,14 +222,11 @@ def extract_candidates(data: RowNormalizedData, cfg: EstimatorConfig) -> Candida
     of their hull vertices.  Where that keeps every row, it issues the
     HullFallbackWarning itself.
 
-    Raises DegenerateCloud when the rows span fewer than K - 1 dimensions:
-    no K of them then span a simplex, however rounding scores it.  A cloud
-    of full rank K - 1 has at least K hull vertices, so there are always
-    at least K candidates.
+    Raises DegenerateCloud when the rows span fewer than K - 1 dimensions,
+    as fewer than K rows always do: no K of them then span a simplex,
+    however rounding scores it.  A cloud of full rank K - 1 has at least K
+    hull vertices, so there are always at least K candidates.
     """
-    n = data.ystar.shape[0]
-    if n < cfg.K + 1:
-        raise TooFewCandidates(f"need at least K+1={cfg.K + 1} rows, got {n}")
     z = geometry.intrinsic_projection(data.ystar, cfg.K - 1)
     if z.shape[1] < cfg.K - 1:
         raise DegenerateCloud(
@@ -243,12 +239,9 @@ def extract_candidates(data: RowNormalizedData, cfg: EstimatorConfig) -> Candida
 def _select_max_volume(
     z: np.ndarray, cfg: EstimatorConfig
 ) -> tuple[VertexSubset, str]:
-    if cfg.search != "greedy":
-        try:
+    if cfg.search == "auto":
+        with suppress(BudgetExceeded):
             return geometry.max_volume_exhaustive(z, cfg.K), "exhaustive"
-        except BudgetExceeded:
-            if cfg.search == "exhaustive":
-                raise
     return geometry.max_volume_greedy(z, cfg.K), "greedy"
 
 
@@ -257,8 +250,10 @@ def estimate_H_star(
 ) -> tuple[np.ndarray, VertexSubset, str]:
     """Max-volume K-subset of the hull candidates, as rows of Y*.
 
-    Returns (H*_hat, chosen subset, search label); rows sum to one by
-    construction because they are rows of Y*.
+    ``auto`` runs the exhaustive search and, past its budget, greedy.
+    Returns (H*_hat, chosen subset, search label); the label
+    ``"exhaustive"`` certifies the subset as max-volume, ``"greedy"`` does
+    not.  Rows sum to one by construction because they are rows of Y*.
     """
     subset, used = _select_max_volume(candidates.z, cfg)
     return candidates.ystar[list(subset.indices)], subset, used

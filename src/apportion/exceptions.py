@@ -33,10 +33,6 @@ class AllDegenerate(ApportionError):
     """No K-subset of the candidates spans a non-degenerate simplex."""
 
 
-class TooFewCandidates(ApportionError):
-    """Fewer than K + 1 data rows for K sources."""
-
-
 class ZeroDenominator(ApportionError):
     """A pollutant column is unexplained by every source."""
 

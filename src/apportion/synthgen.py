@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry
-from .estimator import AttributionMatrix, ConcentrationMatrix, compute_phi
+from .estimator import AttributionMatrix, ConcentrationMatrix, check_integer, compute_phi
 from .exceptions import DegenerateCloud, GenerationFailed
 
 REPLICATE_STRIDE = 1 << 16
@@ -33,6 +33,13 @@ class RngSpec:
 
     master_seed: int
     stream_id: int = 0
+
+    def __post_init__(self):
+        for name in ("master_seed", "stream_id"):
+            value = check_integer(name, getattr(self, name))
+            if value < 0:
+                raise ValueError(f"{name} must be an integer >= 0, got {value}")
+            object.__setattr__(self, name, value)
 
     def generator(self) -> np.random.Generator:
         seq = np.random.SeedSequence(
@@ -84,6 +91,9 @@ class LognormalMixtureParams:
     def __post_init__(self):
         if not (len(self.weights) == len(self.means) == len(self.sds)):
             raise ValueError("one (weights, means, sds) triple per source")
+        for name in ("weights", "means", "sds"):
+            vecs = tuple(np.asarray(v, dtype=float) for v in getattr(self, name))
+            object.__setattr__(self, name, vecs)
         for w, m, s in zip(self.weights, self.means, self.sds):
             if not (w.shape == m.shape == s.shape) or w.ndim != 1 or w.size < 1:
                 raise ValueError("component vectors must match in length")

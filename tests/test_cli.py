@@ -501,6 +501,14 @@ class TestSimulateCommand:
         assert "unrecognized arguments: --plant-corners" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_seed_is_named(self, tmp_path, capsys):
+        out = tmp_path / "sim"
+        args = ["simulate", "--n", "10", "--J", "5", "--K", "2", "--seed", "-1"]
+        assert main(args + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "ValueError: master_seed must be an integer >= 0, got -1\n"
+        assert not out.exists()
+
 
 class TestEstimateCommand:
     def test_outputs_and_diagnostics(self, tmp_path):
@@ -590,14 +598,15 @@ class TestEstimateCommand:
         assert not out.exists()
 
     def test_warnings_come_before_the_error_line(self, tmp_path, capsys):
-        # The zero row is dropped before the row count, so 3 rows read as 2.
+        # The zero row is dropped before the projection, so 3 rows read as 2.
         path = tmp_path / "y.csv"
         path.write_text("a,b,c,d\n1,2,3,4\n0,0,0,0\n5,1,2,7\n", encoding="utf-8")
         out = tmp_path / "o"
         assert main(["estimate", "--input", str(path), "--K", "3", "--out", str(out)]) == 1
         assert capsys.readouterr().err.splitlines() == [
             "warning: dropped 1 zero-concentration rows",
-            "TooFewCandidates: [extract_candidates] need at least K+1=4 rows, got 2",
+            "DegenerateCloud: [extract_candidates] rows span 1 dimensions;"
+            " K=3 sources need 2",
         ]
         assert not out.exists()
 
@@ -946,9 +955,9 @@ class TestConvergenceStudyCommand:
         assert (out / "summary.csv").is_file()
 
     def test_manifest_lists_only_written_outputs(self, tmp_path):
-        # n = 3 < K + 1 rows: every task fails, so no summary is written.
+        # n = 2 < K rows: every task fails, so no summary is written.
         out = tmp_path / "study"
-        args = ["convergence-study", "--n-grid", "3", "--replicates", "2", "--K", "3"]
+        args = ["convergence-study", "--n-grid", "2", "--replicates", "2", "--K", "3"]
         assert main(args + ["--out", str(out)]) == 0
         assert not (out / "summary.csv").exists()
         manifest = json.loads((out / "manifest.json").read_text())
@@ -1010,6 +1019,18 @@ class TestConvergenceStudyCommand:
             main(["convergence-study", "--search", "both", "--out", str(out)])
         assert err.value.code == 2
         assert "invalid choice: 'both'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["estimate", "convergence-study"])
+    def test_search_exhaustive_is_not_a_choice(self, tmp_path, capsys, command):
+        y = tmp_path / "y.csv"
+        y.write_text("a,b,c\n1,2,3\n", encoding="utf-8")
+        args = ["--input", str(y), "--K", "2"] if command == "estimate" else []
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as err:
+            main([command, *args, "--search", "exhaustive", "--out", str(out)])
+        assert err.value.code == 2
+        assert "invalid choice: 'exhaustive'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_workers_env_default(self, monkeypatch):

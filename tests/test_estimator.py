@@ -12,6 +12,7 @@ from conftest import aligned_estimate, lp_hull_vertices, random_row_stochastic
 
 from apportion import geometry
 from apportion.estimator import (
+    SEARCH_MODES,
     AttributionMatrix,
     ConcentrationMatrix,
     EstimatorConfig,
@@ -23,12 +24,10 @@ from apportion.estimator import (
     row_normalize,
 )
 from apportion.exceptions import (
-    BudgetExceeded,
     DegenerateCloud,
     DroppedRowsWarning,
     HullFallbackWarning,
     NegativeMeanWarning,
-    TooFewCandidates,
     ZeroDenominator,
 )
 from apportion.synthgen import RngSpec, make_ground_truth, true_phi
@@ -88,9 +87,20 @@ class TestExtractCandidates:
         assert sorted(cands.indices.tolist()) == lp_hull_vertices(z).tolist()
 
     def test_too_few_rows(self):
-        data = row_normalize(ConcentrationMatrix(np.array([[1.0, 1.0, 2.0]] * 3)))
-        with pytest.raises((TooFewCandidates, DegenerateCloud)):
+        # Fewer than K rows span fewer than K - 1 dimensions.
+        data = row_normalize(ConcentrationMatrix(np.array([[1.0, 2, 3, 4], [5, 1, 2, 7]])))
+        with pytest.raises(DegenerateCloud) as err:
             extract_candidates(data, EstimatorConfig(K=3))
+        assert str(err.value) == "rows span 1 dimensions; K=3 sources need 2"
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_k_rows_of_rank_k_minus_1_are_the_estimate(self, k):
+        rng = np.random.default_rng(k)
+        y = ConcentrationMatrix(rng.lognormal(size=(k, k + 3)))
+        est = apportion(y, EstimatorConfig(K=k))
+        np.testing.assert_array_equal(est.h_star_hat, row_normalize(y).ystar)
+        assert est.diagnostics.subset_rows == tuple(range(k))
+        assert est.diagnostics.search_used == "exhaustive"
 
     def test_high_rank_falls_back_to_all_rows(self):
         rng = np.random.default_rng(71)
@@ -141,7 +151,7 @@ class TestEstimateHStar:
         y, _ = make_ground_truth(100, 8, 3, "ar1", RngSpec(41))
         cands = extract_candidates(row_normalize(y), EstimatorConfig(K=3))
         _, sub_g, used_g = estimate_H_star(cands, EstimatorConfig(K=3, search="greedy"))
-        _, sub_e, used_e = estimate_H_star(cands, EstimatorConfig(K=3, search="exhaustive"))
+        _, sub_e, used_e = estimate_H_star(cands, EstimatorConfig(K=3))
         assert (used_g, used_e) == ("greedy", "exhaustive")
         same_subset = sorted(sub_g.indices) == sorted(sub_e.indices)
         assert same_subset or sub_e.log_volume - sub_g.log_volume <= 1e-9
@@ -151,10 +161,14 @@ class TestEstimateHStar:
         m = apportion(y, EstimatorConfig(K=3)).diagnostics.n_hull_vertices
         monkeypatch.setattr(geometry, "EXHAUSTIVE_BUDGET", math.comb(m, 3))
         assert apportion(y, EstimatorConfig(K=3)).diagnostics.search_used == "exhaustive"
-        monkeypatch.setattr(geometry, "EXHAUSTIVE_BUDGET", math.comb(m, 3) - 1)
-        assert apportion(y, EstimatorConfig(K=3)).diagnostics.search_used == "greedy"
-        with pytest.raises(BudgetExceeded, match=r"^\[estimate_H_star\] "):
-            apportion(y, EstimatorConfig(K=3, search="exhaustive"))
+        for budget in (math.comb(m, 3) - 1, 0):
+            monkeypatch.setattr(geometry, "EXHAUSTIVE_BUDGET", budget)
+            # Past the budget neither mode raises BudgetExceeded; auto is greedy.
+            auto = apportion(y, EstimatorConfig(K=3))
+            greedy = apportion(y, EstimatorConfig(K=3, search="greedy"))
+            assert auto.diagnostics == greedy.diagnostics
+            assert auto.diagnostics.search_used == "greedy"
+            np.testing.assert_array_equal(auto.phi_hat.values, greedy.phi_hat.values)
 
 
 class TestEstimateMuTilde:
@@ -285,7 +299,7 @@ class TestApportion:
 
     def test_failure_keeps_the_warnings_issued_before_it(self):
         y = ConcentrationMatrix(np.array([[1.0, 2, 3, 4], [0, 0, 0, 0], [5, 1, 2, 7]]))
-        with pytest.raises(TooFewCandidates) as err:
+        with pytest.raises(DegenerateCloud, match="rows span 1 dimensions") as err:
             apportion(y, EstimatorConfig(K=3))
         assert err.value.stage == "extract_candidates"
         assert err.value.warnings == ("dropped 1 zero-concentration rows",)
@@ -347,8 +361,11 @@ class TestConcentrationMatrix:
 
 class TestConfigValidation:
     def test_rejects_bad_search(self):
-        with pytest.raises(ValueError):
-            EstimatorConfig(K=3, search="random")
+        # auto runs the exhaustive search within its budget.
+        assert SEARCH_MODES == ("auto", "greedy")
+        for search in ("random", "exhaustive"):
+            with pytest.raises(ValueError, match="^search must be one of"):
+                EstimatorConfig(K=3, search=search)
 
     @pytest.mark.parametrize("k", [3.0, np.float64(3.0), "3", True])
     def test_k_must_be_an_integer(self, k):

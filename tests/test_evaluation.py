@@ -398,8 +398,9 @@ def _assert_no_child_left():
 
 @pytest.fixture(scope="module")
 def small_both():
-    """(design, records) of a greedy study and of an exhaustive study that
-    differ only in search, so they pair on (n, replicate)."""
+    """(design, records) of a greedy study and of an auto study that
+    differ only in search, so they pair on (n, replicate).  Every auto
+    task is within the exhaustive search's budget."""
     greedy = StudyDesign(
         process="ar1",
         J=6,
@@ -409,7 +410,7 @@ def small_both():
         search="greedy",
         master_seed=99,
     )
-    exhaustive = dataclasses.replace(greedy, search="exhaustive")
+    exhaustive = dataclasses.replace(greedy, search="auto")
     return [(design, convergence_study(design)) for design in (greedy, exhaustive)]
 
 
@@ -418,7 +419,8 @@ class TestConvergenceStudy:
         for design, records in small_both:
             keys = [(n, rep) for n in design.n_grid for rep in range(design.replicates)]
             assert [(r.n, r.replicate) for r in records] == keys
-            assert {r.search_used for r in records} == {design.search}
+            label = {"greedy": "greedy", "auto": "exhaustive"}[design.search]
+            assert {r.search_used for r in records} == {label}
             assert all(not r.error for r in records)
             assert all(
                 np.isfinite(r.nrmse) and r.nrmse >= 0 and np.isfinite(r.nfd)
@@ -434,7 +436,7 @@ class TestConvergenceStudy:
     def test_worker_count_does_not_change_results(self, small_both):
         # test_failures_recorded_not_fatal's design: a failure record from a
         # forked worker equals the caller's too.
-        failing = StudyDesign(J=6, K=3, n_grid=(3, 60), replicates=2, master_seed=5)
+        failing = StudyDesign(J=6, K=3, n_grid=(2, 60), replicates=2, master_seed=5)
         cases = [*small_both, (failing, convergence_study(failing))]
         for design, sequential in cases:
             for workers in (2, 3, 8):
@@ -557,6 +559,9 @@ class TestConvergenceStudy:
         # Compare searches as one study per search with the same seed.
         with pytest.raises(ValueError, match="^search must be one of "):
             StudyDesign(search="both")
+        # auto runs the exhaustive search within its budget.
+        with pytest.raises(ValueError, match="^search must be one of "):
+            StudyDesign(search="exhaustive")
         with pytest.raises(ValueError):
             StudyDesign(K=8, J=8)
         # One source: every attribution fraction is 1, nothing to estimate.
@@ -597,12 +602,12 @@ class TestConvergenceStudy:
 
     def test_failures_recorded_not_fatal(self):
         design = StudyDesign(
-            process="ar1", J=6, K=3, n_grid=(3, 60), replicates=2, master_seed=5
+            process="ar1", J=6, K=3, n_grid=(2, 60), replicates=2, master_seed=5
         )
         records = convergence_study(design)
         failed = [r for r in records if r.error]
         fine = [r for r in records if not r.error]
-        assert len(failed) == 2 and all(r.n == 3 for r in failed)
+        assert len(failed) == 2 and all(r.n == 2 for r in failed)
         assert all("[extract_candidates]" in r.error for r in failed)
         assert all(r.nrmse is None and r.nfd is None for r in failed)
         assert all(r.log_volume is None for r in failed)

@@ -510,6 +510,18 @@ _AR1 = LogAR1Params(phi=[0.8], mu_g=[0.0], sigma_eps=[0.3])
         (lambda: true_phi(np.zeros(2), np.eye(2)), "mu must be non-negative with a positive entry"),
         (lambda: make_ground_truth(50, 8, 8, "ar1", RngSpec(1)), "need 1 <= K < J"),
         (lambda: make_ground_truth(50, 8, 0, "ar1", RngSpec(1)), "need 1 <= K < J"),
+        (
+            lambda: LognormalMixtureParams(([0.4, 0.7],), ([0.0, 1.0],), ([0.5, 0.2],)),
+            "weights must lie on the simplex",
+        ),
+        (
+            lambda: LognormalMixtureParams(([0.4, 0.6],), ([0.0],), ([0.5, 0.2],)),
+            "component vectors must match in length",
+        ),
+        (lambda: RngSpec(-1), "master_seed must be an integer >= 0, got -1"),
+        (lambda: RngSpec(1, -2), "stream_id must be an integer >= 0, got -2"),
+        (lambda: RngSpec(1.5), "master_seed must be an integer, got 1.5"),
+        (lambda: RngSpec(1, True), "stream_id must be an integer, got True"),
     ],
     ids=[
         "ar1-unequal-lengths",
@@ -533,11 +545,38 @@ _AR1 = LogAR1Params(phi=[0.8], mu_g=[0.0], sigma_eps=[0.3])
         "true-phi-zero-mu",
         "ground-truth-K-equals-J",
         "ground-truth-K-zero",
+        "mixture-list-weights-sum",
+        "mixture-list-component-lengths",
+        "rng-negative-seed",
+        "rng-negative-stream",
+        "rng-float-seed",
+        "rng-bool-stream",
     ],
 )
 def test_invalid_input_raises(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
+
+
+def test_mixture_params_accept_lists():
+    params = LognormalMixtureParams(([0.4, 0.6],), ([0.0, 1.0],), ([0.5, 0.2],))
+    arrays = _mixture()
+    for name in ("weights", "means", "sds"):
+        (got,), (want,) = getattr(params, name), getattr(arrays, name)
+        assert got.dtype == float
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(
+        population_mean_mixture(params), population_mean_mixture(arrays)
+    )
+
+
+def test_rng_spec_takes_numpy_integers():
+    spec = RngSpec(np.int64(3), np.uint32(5))
+    assert spec == RngSpec(3, 5)
+    assert type(spec.master_seed) is int and type(spec.stream_id) is int
+    np.testing.assert_array_equal(
+        spec.generator().random(4), RngSpec(3, 5).generator().random(4)
+    )
 
 
 def test_generation_fails_after_100_degenerate_draws(monkeypatch):
