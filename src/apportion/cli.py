@@ -44,13 +44,10 @@ from .exceptions import (
 from .synthgen import PROCESSES, RngSpec, make_ground_truth
 
 _FMT = "%.17g"
-# Rows formatted per write.  A block is all a write holds as text (about
-# 0.3 MB at J=8); the whole matrix would be about 80 MB at n=5e5.
-_WRITE_BLOCK_ROWS = 2048
-# Cells per call of the exact writer.  Its largest temporaries take 32
-# bytes a cell, so each, like the text of one call, stays under 128 KB:
-# glibc's malloc serves those from memory it freed, but maps larger ones
-# afresh on every call, with a page fault per 4 KB.
+# Cells per call, and per write, of the exact writer.  Its largest
+# temporaries take 32 bytes a cell, so each, like the text of one call,
+# stays under 128 KB: glibc's malloc serves those from memory it freed,
+# but maps larger ones afresh on every call, with a page fault per 4 KB.
 _FORMAT_CELLS = 2048
 
 
@@ -70,10 +67,10 @@ def _write_rows(path: Path, header: list[str], rows) -> None:
 
 
 def _write_matrix(path: Path, matrix: np.ndarray, names) -> None:
-    """Header through ``csv.writer``, then the body one block of rows per
-    write, formatted ``_FORMAT_CELLS`` cells at a time by ``_format_cells``.
-    The bytes are those of writing every row through ``csv.writer`` with
-    ``%.17g``, which never quotes a field.
+    """Header through ``csv.writer``, then the body one write per
+    ``_FORMAT_CELLS`` cells (whole rows, at least one), as
+    ``_format_cells`` returns them.  The bytes are those of writing every
+    row through ``csv.writer`` with ``%.17g``, which never quotes a field.
     """
     matrix = np.ascontiguousarray(np.atleast_2d(matrix), dtype=float)
     header = io.StringIO()
@@ -83,10 +80,8 @@ def _write_matrix(path: Path, matrix: np.ndarray, names) -> None:
     step = max(1, _FORMAT_CELLS // matrix.shape[1])
     with open(path, "wb") as fh:
         fh.write(header.getvalue().encode("utf-8"))
-        for start in range(0, len(matrix), _WRITE_BLOCK_ROWS):
-            block = matrix[start : start + _WRITE_BLOCK_ROWS]
-            parts = range(0, len(block), step)
-            fh.writelines([_format_cells(block[i : i + step], seps) for i in parts])
+        for start in range(0, len(matrix), step):
+            fh.write(_format_cells(matrix[start : start + step], seps))
 
 
 # The exact writer.  A value v with 1e-4 <= |v| < 1e14 is m * 2**(b - 1075),

@@ -203,9 +203,10 @@ def generate_profile_matrix(J: int, K: int, rng: RngSpec) -> np.ndarray:
 def simulate_log_ar1(n: int, params: LogAR1Params, rng: RngSpec) -> np.ndarray:
     """Stationary log-AR(1) emissions, one Philox substream per source.
 
-    g_1k is drawn from the stationary marginal and the recursion
-    g_ik = mu_k + phi_k (g_{i-1,k} - mu_k) + eps_ik is run as one
-    lower-bidiagonal solve (LAPACK dgtsv); emissions are exp(g).
+    Source k draws its start c_1k from the stationary marginal, then its
+    n - 1 innovations eps_ik.  The recursion c_ik = phi_k c_{i-1,k} + eps_ik
+    is one lower-bidiagonal solve (LAPACK dgtsv) per distinct phi_k, over
+    every source that shares it; emissions are exp(mu_k + c_ik).
     """
     # Each scipy module is imported by the function that uses it, so
     # `import apportion` loads numpy only.
@@ -213,31 +214,28 @@ def simulate_log_ar1(n: int, params: LogAR1Params, rng: RngSpec) -> np.ndarray:
 
     if n < 1:
         raise ValueError("n must be >= 1")
-    k_sources = params.n_sources
-    out = np.empty((n, k_sources))
-    for k in range(k_sources):
+    # Row k holds source k's draws, so the transpose is the column-major
+    # (n, K) right-hand side dgtsv takes.
+    centered = np.empty((params.n_sources, n))
+    for k in range(params.n_sources):
         gen = rng.substream(k + 1).generator()
-        phi = float(params.phi[k])
-        sigma = float(params.sigma_eps[k])
-        mu = float(params.mu_g[k])
-        start = gen.normal(0.0, sigma / math.sqrt(1.0 - phi * phi))
-        innov = gen.normal(0.0, sigma, size=n - 1)
-        driven = np.concatenate(([start], innov))
-        if n == 1:
-            centered = driven
-        else:
-            # L c = driven, L unit lower bidiagonal with -phi below the
-            # diagonal.  |phi| < 1, so dgtsv never pivots: its forward sweep
-            # is c_i = driven_i - (-phi) c_{i-1}, the recursion's own product
-            # and sum, and its back substitution divides by 1 and subtracts
-            # 0, so c is bitwise the sequential recursion.
-            _, _, _, centered, info = dgtsv(
-                np.full(n - 1, -phi), np.ones(n), np.zeros(n - 1), driven
-            )
-            if info != 0:
-                raise RuntimeError(f"dgtsv failed with info={info}")
-        out[:, k] = np.exp(mu + centered)
-    return out
+        phi, sigma = float(params.phi[k]), float(params.sigma_eps[k])
+        centered[k, 0] = gen.normal(0.0, sigma / math.sqrt(1.0 - phi * phi))
+        centered[k, 1:] = gen.normal(0.0, sigma, size=n - 1)
+    for phi in np.unique(params.phi) if n > 1 else ():
+        # L c = (c_1, eps_2, ..., eps_n), L unit lower bidiagonal with
+        # -phi below the diagonal.  |phi| < 1, so dgtsv never pivots: its
+        # forward sweep is c_i = eps_i - (-phi) c_{i-1}, the recursion's
+        # own product and sum, and its back substitution divides by 1 and
+        # subtracts 0, so c is bitwise the sequential recursion.
+        rows = params.phi == phi
+        _, _, _, solved, info = dgtsv(
+            np.full(n - 1, -phi), np.ones(n), np.zeros(n - 1), centered[rows].T
+        )
+        if info != 0:
+            raise RuntimeError(f"dgtsv failed with info={info}")
+        centered[rows] = solved.T
+    return np.exp(np.add(params.mu_g, centered.T, order="C"))
 
 
 def population_mean_log_ar1(params: LogAR1Params) -> np.ndarray:
@@ -309,19 +307,12 @@ def true_phi(mu: np.ndarray, H: np.ndarray) -> AttributionMatrix:
 
 
 def make_ground_truth(
-    n: int,
-    J: int,
-    K: int,
-    process: str,
-    rng: RngSpec,
-    plant_corners: bool = False,
+    n: int, J: int, K: int, process: str, rng: RngSpec
 ) -> tuple[ConcentrationMatrix, GroundTruth]:
     """Draw (H, params, W), return Y = W H plus the exact ground truth.
 
     H is ``generate_profile_matrix``'s maximin pick among 10·K candidate
-    draws.  ``plant_corners`` appends K emission rows mu_k e_k so the data
-    contains one exactly pure record per source (used by exact-recovery
-    tests).
+    draws, and W holds the n rows of the chosen emission process.
     """
     if not 1 <= K < J:
         raise ValueError("need 1 <= K < J")
@@ -336,7 +327,5 @@ def make_ground_truth(
         params = draw_mixture_params(K, rng.substream(PARAMS_STREAM))
         W = simulate_lognormal_mixture(n, params, rng)
         mu = population_mean_mixture(params)
-    if plant_corners:
-        W = np.vstack([W, np.diag(mu)])
     truth = GroundTruth(W=W, H=H, mu=mu, phi_true=true_phi(mu, H))
     return ConcentrationMatrix(W @ H), truth

@@ -69,10 +69,11 @@ def criterion(number, name):
 
 
 def planted_run(seed):
-    y, truth = make_ground_truth(
-        1000, 8, 3, "ar1", RngSpec(seed), plant_corners=True
-    )
-    return y, truth
+    """1000 ar1 rows with K rows mu_k e_k under them, so the data holds one
+    exactly pure record per source."""
+    _, truth = make_ground_truth(1000, 8, 3, "ar1", RngSpec(seed))
+    truth = dataclasses.replace(truth, W=np.vstack([truth.W, np.diag(truth.mu)]))
+    return ConcentrationMatrix(truth.W @ truth.H), truth
 
 
 def test_01_exact_recovery():

@@ -283,13 +283,16 @@ def reference_scatter_bytes(path, est):
     return path.read_bytes()
 
 
-BLOCK = cli._WRITE_BLOCK_ROWS
+def chunk_boundaries(j):
+    """Row counts at and around the writer's chunk of R = _FORMAT_CELLS // j
+    rows, the rows of one call and one write."""
+    rows = cli._FORMAT_CELLS // j
+    return [(j, n) for n in (1, rows - 1, rows, rows + 1, 3 * rows + 7)]
 
 
 class TestWriteMatrix:
-    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
-    @pytest.mark.parametrize("j", [1, 8])
-    def test_bytes_match_csv_writer(self, n, j, tmp_path):
+    @pytest.mark.parametrize("j,n", [c for j in (1, 3, 8) for c in chunk_boundaries(j)])
+    def test_bytes_match_csv_writer(self, j, n, tmp_path):
         rng = np.random.default_rng(n * 10 + j)
         special = [0.0, -0.0, 5e-324, 1e308, 3.0, 12345678901234567.0, 0.1]
         values = np.concatenate([special, rng.lognormal(size=n * j)])[: n * j]

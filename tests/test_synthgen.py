@@ -224,6 +224,12 @@ class TestMaximinSubset:
             _maximin_subset(np.zeros((3, 2)), 4)
 
 
+# Three distinct coefficients, one of them shared by sources 0 and 2.
+_MIXED_AR1 = LogAR1Params(
+    phi=[0.8, -0.5, 0.8, 0.0], mu_g=[0.3, -0.2, 0.1, 0.0], sigma_eps=[0.4, 0.15, 0.3, 0.2]
+)
+
+
 class TestLogAR1:
     def test_zero_noise_is_constant(self):
         params = LogAR1Params(
@@ -270,6 +276,38 @@ class TestLogAR1:
             centered = itertools.accumulate(driven, lambda c, x: x + phi * c)
             expected = np.exp(mu + np.fromiter(centered, float, n))
             assert w[:, k].tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 1000])
+    def test_mixed_coefficients_equal_sequential_recursion(self, n):
+        # Sources 0 and 2 share a solve; each column is still its own
+        # source's recursion.
+        w = simulate_log_ar1(n, _MIXED_AR1, RngSpec(12))
+        for k, phi in enumerate(_MIXED_AR1.phi.tolist()):
+            gen = RngSpec(12).substream(k + 1).generator()
+            sigma, mu = float(_MIXED_AR1.sigma_eps[k]), float(_MIXED_AR1.mu_g[k])
+            start = gen.normal(0.0, sigma / math.sqrt(1.0 - phi * phi))
+            driven = [start, *gen.normal(0.0, sigma, size=n - 1)]
+            centered = itertools.accumulate(driven, lambda c, x: x + phi * c)
+            expected = np.exp(mu + np.fromiter(centered, float, n))
+            assert w[:, k].tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "params,columns",
+        [(draw_ar1_params(4, RngSpec(2)), [4]), (_MIXED_AR1, [1, 1, 2])],
+        ids=["draw_ar1_params", "mixed"],
+    )
+    def test_one_dgtsv_call_per_distinct_coefficient(self, monkeypatch, params, columns):
+        from scipy.linalg import lapack
+
+        solve, calls = lapack.dgtsv, []
+
+        def counting(dl, d, du, b):
+            calls.append(b.shape)
+            return solve(dl, d, du, b)
+
+        monkeypatch.setattr(lapack, "dgtsv", counting)
+        simulate_log_ar1(100, params, RngSpec(1))
+        assert calls == [(100, c) for c in columns]
 
     def test_population_mean_trivial_cases(self):
         p0 = LogAR1Params(np.array([0.5]), np.array([0.0]), np.array([0.0]))
@@ -423,14 +461,6 @@ class TestMakeGroundTruth:
         np.testing.assert_array_equal(y1.values, y2.values)
         np.testing.assert_array_equal(t1.W, t2.W)
         np.testing.assert_array_equal(t1.H, t2.H)
-
-    def test_planted_corners(self):
-        y, truth = make_ground_truth(50, 8, 3, "ar1", RngSpec(22), plant_corners=True)
-        assert truth.W.shape == (53, 3)
-        np.testing.assert_array_equal(truth.W[-3:], np.diag(truth.mu))
-        np.testing.assert_allclose(
-            y.values[-3:], truth.mu[:, None] * truth.H, rtol=1e-15
-        )
 
     def test_rejects_bad_process(self):
         with pytest.raises(ValueError):
