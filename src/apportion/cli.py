@@ -11,15 +11,14 @@ exit nonzero.
 from __future__ import annotations
 
 import argparse
+import codecs
 import contextlib
 import csv
 import dataclasses
-import functools
 import io
 import json
 import sys
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -69,9 +68,13 @@ def _write_rows(path: Path, header: list[str], rows) -> None:
 def _write_matrix(path: Path, matrix: np.ndarray, names) -> None:
     """Header through ``csv.writer``, then the body one write per
     ``_FORMAT_CELLS`` cells (whole rows, at least one), as
-    ``_format_cells`` returns them.  The bytes are those of writing every
-    row through ``csv.writer`` with ``%.17g``, which never quotes a field.
+    ``floattext.format_cells`` returns them.  The bytes are those of writing
+    every row through ``csv.writer`` with ``%.17g``, which never quotes a
+    field.
     """
+    # Imported on first use, so that importing the CLI does not load it.
+    from .floattext import format_cells
+
     matrix = np.ascontiguousarray(np.atleast_2d(matrix), dtype=float)
     header = io.StringIO()
     csv.writer(header, lineterminator="\n").writerow(list(names))
@@ -81,146 +84,7 @@ def _write_matrix(path: Path, matrix: np.ndarray, names) -> None:
     with open(path, "wb") as fh:
         fh.write(header.getvalue().encode("utf-8"))
         for start in range(0, len(matrix), step):
-            fh.write(_format_cells(matrix[start : start + step], seps))
-
-
-# The exact writer.  A value v with 1e-4 <= |v| < 1e14 is m * 2**(b - 1075),
-# with m the 53-bit significand and b the biased exponent.  Its 17
-# significant digits are the integer D in [10**16, 10**17) nearest to
-# |v| * 10**(16 - E), E = floor(log10 |v|), ties to even as in David Gay's
-# dtoa, which CPython's ``%`` runs.  That product is m * 5**k >> t with
-# k = 16 - E in [3, 20] and t = 1059 + E - b in [3, 46]: a right shift of
-# an integer below 2**101, done exactly on two uint64 words.  ``%g``
-# writes that range in fixed notation.  Every other value (0, -0,
-# subnormals, non-finite values, exponent notation) and every whole number
-# goes through ``%``.
-#
-# A cell is laid out in 32 bytes, with a NUL for each byte its text does
-# not use; deleting the NULs leaves the text.  Byte 6 holds the sign, byte
-# 7 the "0" before the point of |v| < 1 and bytes 12 + E to 10 the "0"s
-# after it, byte 11 D's first digit and bytes 12-27 the other 16, with its
-# trailing zeros NULs.  The point goes in at byte 12 + E, and the bytes
-# from there on move up one.  Byte 31 holds the separator.
-
-_U64 = np.uint64
-_FAST_RANGE = (1e-4, 1e14)
-_STRIPPED = 10_000  # offset of the trailing-zeros-as-NUL half of ascii4
-
-
-@functools.cache
-def _layout_tables():
-    """Tables the writer indexes, built on its first call.
-
-    ``pow5[E + 5]`` is 5**(16 - E).  ``ascii4[c]`` is the 4-digit ASCII
-    of c < 10**4 as a little-endian uint32, ``ascii4[_STRIPPED + c]`` the
-    same with its trailing zeros as NULs.  Row E + 4 of ``zeros`` holds
-    the "0"s of cell bytes 4-11, and of ``tail`` the mask of the bytes from
-    the point on.
-    """
-    pow5 = _U64(5) ** np.arange(21, 1, -1, dtype=np.uint64)
-    c = np.arange(10_000)
-    chars = np.stack([c // 1000, c // 100 % 10, c // 10 % 10, c % 10], axis=1)
-    chars = (chars + ord("0")).astype(np.uint8)
-    # Keep each digit with a nonzero digit at or after it.
-    kept = np.flip(np.logical_or.accumulate(np.flip(chars != ord("0"), 1), 1), 1)
-    ascii4 = np.concatenate([chars, chars * kept]).view("<u4").ravel()
-    zeros = np.zeros((21, 8), dtype=np.uint8)
-    tail = np.zeros((21, 32), dtype=np.uint8)
-    for e in range(-4, 17):
-        if e < 0:
-            zeros[e + 4, 3] = ord("0")
-            zeros[e + 4, 8 + e : 7] = ord("0")
-        tail[e + 4, 12 + e : 31] = 0xFF
-    tables = pow5, ascii4, zeros.view("<u4"), tail.view("<u8")
-    for table in tables:
-        table.setflags(write=False)
-    return tables
-
-
-def _scaled(m, b, e10, pow5):
-    """floor(m * 2**(b - 1075) * 10**(16 - e10)), the remainder below it
-    in units of 2**-t, and t = 1059 + e10 - b."""
-    f = np.take(pow5, e10 + 5)
-    t = (e10 + 1059 - b).astype(np.uint64)
-    low32, s32 = _U64(0xFFFFFFFF), _U64(32)
-    ml, mh = m & low32, m >> s32
-    fl, fh = f & low32, f >> s32
-    lo = ml * fl
-    mid = mh * fl + ml * fh
-    hi = mh * fh + (mid >> s32)
-    mid <<= s32
-    lo += mid
-    hi += lo < mid
-    rem = lo & ((_U64(1) << t) - _U64(1))
-    return (hi << (_U64(64) - t)) | (lo >> t), rem, t
-
-
-def _significands(values):
-    """D and E of each value, and the mask of the values out of range."""
-    pow5 = _layout_tables()[0]
-    mag = np.abs(values)
-    slow = ~((mag >= _FAST_RANGE[0]) & (mag < _FAST_RANGE[1]))
-    mag[slow] = 1.0
-    bits = mag.view(np.uint64)
-    m = bits & _U64((1 << 52) - 1)
-    m |= _U64(1 << 52)
-    b = (bits >> _U64(52)).astype(np.intp)
-    # log10 can miss E by one next to a power of ten; D's length tells.
-    e10 = np.floor(np.log10(mag)).astype(np.intp)
-    d, rem, t = _scaled(m, b, e10, pow5)
-    off = np.flatnonzero(d - _U64(10**16) >= _U64(9 * 10**16))
-    if off.size:
-        e10[off] += np.where(d[off] < _U64(10**16), -1, 1)
-        d[off], rem[off], t[off] = _scaled(m[off], b[off], e10[off], pow5)
-    half = _U64(1) << (t - _U64(1))
-    d += rem >= half
-    # A tie rounded up to odd goes back down to even.
-    d[rem == half] &= ~_U64(1)
-    carry = d == _U64(10**17)
-    d[carry] = _U64(10**16)
-    e10 += carry
-    return d.view(np.intp), e10, slow
-
-
-def _format_cells(block: np.ndarray, seps: np.ndarray) -> bytes:
-    """The rows of C-contiguous ``block`` as ``%.17g`` text, each cell
-    followed by its column's separator in ``seps``."""
-    _, ascii4, zeros, tail = _layout_tables()
-    values = block.ravel()
-    d, e10, slow = _significands(values)
-    # D's first digit, then its other 16 in four 4-digit chunks.
-    c0, d = np.divmod(d, 10**16)
-    h8, l8 = np.divmod(d, 10**8)
-    chunks = np.empty((values.size, 4), dtype=np.intp)
-    np.divmod(h8, 10**4, out=(chunks[:, 0], chunks[:, 1]))
-    np.divmod(l8, 10**4, out=(chunks[:, 2], chunks[:, 3]))
-    chunks[:, 3] += _STRIPPED
-    cells = np.zeros((values.size, 8), dtype=np.uint32)
-    cells[:, 1:3] = np.take(zeros, e10 + 4, axis=0)
-    cells[:, 1] |= (values < 0) * np.uint32(ord("-") << 16)
-    cells[:, 2] |= (c0 + ord("0")).astype(np.uint32) << 24
-    cells[:, 3:7] = np.take(ascii4, chunks)
-    cells.reshape(len(block), -1, 8)[:, :, 7] = seps << 24
-    # The trailing zeros reach into a chunk where every chunk after it is 0.
-    rows = np.flatnonzero(chunks[:, 3] == _STRIPPED)
-    for col in (2, 1, 0):
-        if not rows.size:
-            break
-        cells[rows, 3 + col] = np.take(ascii4, chunks[rows, col] + _STRIPPED)
-        rows = rows[chunks[rows, col] == 0]
-
-    words = cells.view(np.uint64)
-    moved = words & np.take(tail, e10 + 4, axis=0)
-    words ^= moved
-    # A whole number would end in a bare point.
-    slow |= (moved[:, 1] | moved[:, 2] | moved[:, 3]) == 0
-    text = words.view(np.uint8)
-    text.ravel()[1:] |= moved.view(np.uint8).ravel()[:-1]
-    text.ravel()[np.arange(12, text.size, 32) + e10] = ord(".")
-    exact = [_FMT % v for v in values[slow].tolist()]
-    if exact:
-        text[slow, :31] = np.array(exact, dtype="S31").view(np.uint8).reshape(-1, 31)
-    return text.tobytes().translate(None, b"\0")
+            fh.write(format_cells(matrix[start : start + step], seps))
 
 
 def _write_labeled_matrix(path: Path, matrix: np.ndarray, labels, names) -> None:
@@ -236,7 +100,7 @@ def _read_labeled_matrix(path: Path) -> tuple[list[str], np.ndarray]:
     the cell-wise parser's row and cell rules (any finite value is
     allowed)."""
     with open(path, encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(_utf8_checked(fh))
         header = next(reader, None)
         if header is None:
             raise ParseError(1, 1, "empty file")
@@ -284,35 +148,68 @@ def _number(cell: str, line_no: int, col_no: int) -> float:
     return value
 
 
+def _read_header(fh) -> list[str]:
+    """The first record of binary file ``fh``, which csv.reader reads from
+    its UTF-8 text after any byte-order mark; ``fh`` is left after the
+    record's last line.  UnicodeDecodeError or csv.Error if it cannot."""
+
+    def lines():
+        yield fh.readline().removeprefix(codecs.BOM_UTF8).decode("utf-8")
+        for line in iter(fh.readline, b""):
+            yield line.decode("utf-8")
+
+    return next(csv.reader(lines()))
+
+
 def load_concentrations(path: str | Path) -> ConcentrationMatrix:
     """Parse a concentration CSV: header of pollutant names, numeric body.
 
     A UTF-8 byte-order mark before the header is skipped.  The header is
-    read by ``csv.reader`` and the body by ``np.loadtxt``, which converts
-    decimals with correct rounding, so the values are bitwise those of
-    ``float(cell)``.  Where loadtxt or ``ConcentrationMatrix`` rejects the
-    body, the cell-wise parser reads the file again and raises the error:
-    ParseError and its subclasses, with 1-based (line, column)
-    coordinates, or ``ConcentrationMatrix``'s ValueError.
+    read by ``csv.reader``, and the body, in blocks of whole lines, by
+    ``floattext.read_rows``, an exact vectorized reader, so the values are
+    bitwise those of ``float(cell)``.  Where the reader or
+    ``ConcentrationMatrix`` rejects the file, the cell-wise parser reads it
+    again and raises the error: ParseError and its subclasses, with 1-based
+    (line, column) coordinates, or ``ConcentrationMatrix``'s ValueError.
     """
-    with open(Path(path), encoding="utf-8-sig", newline="") as fh:
-        names = next(csv.reader(fh), None)
-        if names is not None:
-            # A file with no data rows warns; the cell-wise parser reports it.
-            with contextlib.suppress(ValueError), warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                values = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-                # ConcentrationMatrix rejects an empty body, but it names
-                # the columns of an empty header itself.
-                if values.shape[1] == len(names):
-                    return ConcentrationMatrix(values, tuple(names))
-        fh.seek(0)
+    from .floattext import read_rows
+
+    path = Path(path)
+    with open(path, "rb") as fh:
+        try:
+            names = _read_header(fh)
+        except (ValueError, csv.Error):
+            names = []
+        values = read_rows(fh, len(names)) if names else None
+    if values is not None:
+        with contextlib.suppress(ValueError):
+            return ConcentrationMatrix(values, tuple(names))
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         return _load_cellwise(fh)
 
 
+def _utf8_checked(fh):
+    """Text file ``fh``, open at its start, once its bytes are found to be
+    UTF-8.  Otherwise ParseError at the line and field of the first byte
+    that is not."""
+    raw = fh.buffer.read().removeprefix(codecs.BOM_UTF8)
+    fh.seek(0)
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # csv.reader counts the lines and fields up to the bad byte, for
+        # which "x" stands.
+        before = io.StringIO(raw[: exc.start].decode("utf-8") + "x", newline="")
+        for line_no, row in enumerate(csv.reader(before), start=1):
+            pass
+        raise ParseError(line_no, len(row), "not UTF-8") from None
+    return fh
+
+
 def _load_cellwise(fh) -> ConcentrationMatrix:
-    """Parse cell by cell, raising at the first bad cell or row."""
-    reader = csv.reader(fh)
+    """Parse cell by cell, raising at the first bad cell or row, once the
+    whole file is found to be UTF-8."""
+    reader = csv.reader(_utf8_checked(fh))
     try:
         names = next(reader)
     except StopIteration:

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from apportion import cli, evaluation
+from apportion import cli, evaluation, floattext
 from apportion.cli import load_concentrations, main
 from apportion.estimator import ConcentrationMatrix, EstimatorConfig, apportion
 from apportion.evaluation import StudyDesign, align_rows, nfd, nrmse
@@ -125,7 +125,8 @@ def load_cellwise(path):
 
 def assert_loads_like_cellwise(text, tmp_dir):
     path = Path(tmp_dir) / "y.csv"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    # A lone surrogate "\udcXX" writes the byte XX, which is not UTF-8.
+    with open(path, "w", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         fh.write(text)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -149,6 +150,13 @@ ODD_CELLS = [
     "\x0b6", '"7"', '"8,9"', "#1", "1 2", "\u0661",
 ]
 NEWLINES = ["\n", "\r\n", "\r"]
+# Files with the byte 0xFF, which is not UTF-8: in the header, in the first
+# row, and past the first 8 KB, which a text file decodes as its first chunk.
+NOT_UTF8 = [
+    "a,\udcffb\n1,2\n",
+    "a,b\n1,2\udcff\n",
+    "a,b\n" + "1,2\n" * 3000 + "3,\udcff\n",
+]
 
 
 @st.composite
@@ -214,6 +222,7 @@ class TestLoaderMatchesCellwiseParser:
             "a,b\n1,-2\n",
             "a,b\n0,1\n0,2\n",
             *(f"a,b\n1,{cell}\n" for cell in ODD_CELLS),
+            *NOT_UTF8,
         ],
     )
     def test_listed_files(self, text, tmp_path):
@@ -239,6 +248,198 @@ class TestLoaderMatchesCellwiseParser:
         with tempfile.TemporaryDirectory() as tmp_dir:
             outcome = assert_loads_like_cellwise(text, tmp_dir)
         assert outcome[1] == (len(rows) + 1, 3)
+
+
+class TestNotUtf8:
+    @pytest.mark.parametrize(
+        "text,line,column", [(NOT_UTF8[0], 1, 2), (NOT_UTF8[1], 2, 2), (NOT_UTF8[2], 3002, 2)]
+    )
+    def test_line_and_field_of_the_first_bad_byte(self, tmp_path, capsys, text, line, column):
+        path = tmp_path / "y.csv"
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
+        with pytest.raises(ParseError) as err:
+            load_concentrations(path)
+        assert (err.value.line, err.value.column, err.value.reason) == (line, column, "not UTF-8")
+        out = tmp_path / "o"
+        assert main(["estimate", "--input", str(path), "--K", "2", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"ParseError: line {line}, column {column}: not UTF-8\n"
+
+    def test_evaluate(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"source,a,b\ns1,0.5,0.5\ns2,0.5,\xff0.5\n")
+        phi = tmp_path / "phi.csv"
+        phi.write_text("source,a,b\ns1,0.5,0.5\ns2,0.5,0.5\n", encoding="utf-8")
+        args = ["evaluate", "--phi-hat", str(phi), "--phi-true", str(bad)]
+        assert main(args + ["--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "ParseError: line 3, column 3: not UTF-8\n"
+
+
+def float_cells(path):
+    """float() of each body cell of a file csv.reader reads."""
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    return np.array([[float(cell) for cell in row] for row in rows if row])
+
+
+def no_cellwise(fh):
+    raise AssertionError("the cell-wise parser ran")
+
+
+# Non-negative doubles, with the writer's exponent notation (below 1e-4 and
+# from 1e17 on), whole numbers and subnormals.
+reader_values = st.one_of(
+    st.floats(min_value=0.0, max_value=1e300),
+    st.floats(min_value=0.0, max_value=1e-4),
+    st.floats(min_value=1e17, allow_infinity=False),
+    st.integers(0, 2**64).map(float),
+    st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 1e-4, 1e17, 2.0**53, 0.1]),
+)
+
+
+class TestExactReader:
+    @settings(deadline=None, max_examples=200)
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 30), st.integers(1, 6)), elements=reader_values))
+    def test_written_matrix_reads_back_bitwise(self, matrix):
+        # The last row keeps every column nonzero, as ConcentrationMatrix asks.
+        matrix = np.vstack([matrix, np.ones(matrix.shape[1])])
+        with tempfile.TemporaryDirectory() as tmp_dir:
+            path = Path(tmp_dir) / "y.csv"
+            cli._write_matrix(path, matrix, [f"P{j}" for j in range(matrix.shape[1])])
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(cli, "_load_cellwise", no_cellwise)
+                loaded = load_concentrations(path).values
+        assert loaded.tobytes() == matrix.tobytes()
+
+    def test_random_bit_patterns_match_float(self, tmp_path):
+        rng = np.random.default_rng(30)
+        formats = ["%.17g", "%r", "%.15g", "%.20f"]
+        path = tmp_path / "y.csv"
+        for _ in range(2**5):
+            # Non-negative finite doubles: 2**20 of them in all.
+            bits = rng.integers(0, 0x7FF << 52, size=2**15, dtype=np.uint64)
+            values = bits.view(np.float64).tolist()
+            columns = [[fmt % v for v in values] for fmt in formats]
+            lines = list(map(",".join, zip(*columns)))
+            path.write_text("a,b,c,d\n" + "\n".join(lines) + "\n1,1,1,1\n", encoding="ascii")
+            loaded = load_concentrations(path).values[:-1]
+            expected = np.array([list(map(float, column)) for column in columns]).T
+            mismatched = np.flatnonzero((loaded != expected).any(axis=1))
+            assert [lines[i] for i in mismatched[:5]] == []
+            assert loaded.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "cell",
+        [
+            "9999999999999999999",  # 19 significant digits, the most w holds
+            "1.234567890123456789",
+            "10000000000000000000",  # 20
+            "1.2345678901234567891",
+            "0.0000012345678901234567",  # 24 bytes
+            "0.00000012345678901234567",  # 25 bytes
+            "000000000000000000000001",
+            "0000.5",
+            "0.",
+            ".5",
+            ".00000000000000000000001",  # 22 zeros after the point
+            "0.00000000000000000000001",
+            "0.0000000000000000000000",
+            "9007199254740993",  # halfway between 2**53 and 2**53 + 2
+            "9007199254740993.0",
+            "1e22",
+            "1e23",
+            "1.7976931348623157e308",
+            "2.2250738585072014e-308",  # the least normal double
+            "4.9406564584124654e-324",
+            "1e-342",
+            "1e-343",
+            "5E+00000003",
+            "1.e5",
+            ".5e-5",
+        ],
+    )
+    def test_cells_at_the_grammar_edges(self, tmp_path, cell):
+        path = tmp_path / "y.csv"
+        path.write_text(f"a\n{cell}\n1\n", encoding="ascii")
+        loaded = load_concentrations(path).values[0, 0]
+        assert loaded.tobytes() == np.float64(float(cell)).tobytes()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a,b\n1.5,2\n3,4.25\n",
+            "a,b\r\n1.5,2\r\n3,4.25\r\n",
+            "a,b\n1.5,2\n3,4.25\n\n",
+            "a,b\n1.5,2\n\n\n3,4.25",
+            "\ufeffa,b\r\n1.5,2\r\n\r\n3,4.25\r\n\r\n",
+            '"x,y","p\nq"\n1.5,2\n3,4.25\n',
+            "a,b\n1.5e-5,2E3\n3e+0,4.25e-300\n",
+            "a,b\n1.5,+2\n 3,4.25\n",
+        ],
+        ids=["lf", "crlf", "trailing-blank", "inner-blanks", "bom-crlf", "quoted-header", "exponents", "float-cells"],
+    )
+    def test_plain_files_take_no_cellwise_pass(self, tmp_path, monkeypatch, text):
+        path = tmp_path / "y.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        monkeypatch.setattr(cli, "_load_cellwise", no_cellwise)
+        assert load_concentrations(path).values.tobytes() == float_cells(path).tobytes()
+
+    @settings(deadline=None, max_examples=100)
+    @given(csv_texts(), st.integers(1, 40))
+    def test_blocks_of_any_size_load_alike(self, text, block_bytes):
+        # Lines, and CR LF pairs, split across blocks.
+        with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp_dir:
+            mp.setattr(floattext, "_READ_BYTES", block_bytes)
+            assert_loads_like_cellwise(text, tmp_dir)
+
+    def test_mul128_matches_python_integers(self):
+        rng = np.random.default_rng(31)
+        a, b = rng.integers(0, 2**64, size=(2, 4096), dtype=np.uint64)
+        edges = np.array([0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1], dtype=np.uint64)
+        a = np.concatenate([a, np.repeat(edges, edges.size)])
+        b = np.concatenate([b, np.tile(edges, edges.size)])
+        hi, lo = floattext._mul128(a, b)
+        products = [int(x) * int(y) for x, y in zip(a, b)]
+        assert hi.tolist() == [p >> 64 for p in products]
+        assert lo.tolist() == [p & (2**64 - 1) for p in products]
+
+    # (w, q): w * 10**q, and whether Eisel-Lemire leaves it undecided.
+    ROUNDING_CASES = [
+        # The first product leaves hi's low 9 bits all ones, so the second
+        # product runs, and decides ...
+        ((72758213412292099, -6), False),
+        # ... or not: 135158979930233 exactly, and 2411540415854616.25,
+        # halfway between two doubles.
+        ((13515897993023300, -2), True),
+        ((241154041585461625, -2), True),
+        # Exact products (q = 0): halfway, where the lower neighbour is even ...
+        ((236875746064324816, 0), True),
+        # ... and where rounding half up meets the even neighbour.
+        ((30224206161067318, 0), False),
+    ]
+
+    @pytest.mark.parametrize("case,undecided", ROUNDING_CASES)
+    def test_eisel_lemire_declines_undecided_products(self, tmp_path, case, undecided):
+        (w, q), cell = case, f"{case[0]}e{case[1]}"
+        pow_hi = floattext._reader_tables()[0]
+        w_arr = np.array([w], dtype=np.uint64)
+        qi = np.array([q - floattext._Q_MIN])
+        values, declined = floattext._nearest_doubles(w_arr, qi)
+        assert declined.tolist() == [undecided]
+        if not undecided:
+            assert values.tobytes() == np.float64(float(cell)).tobytes()
+        # The cases reach the branch they are listed under.
+        wn = w << (64 - w.bit_length())
+        first = wn * int(pow_hi[qi[0]])
+        if q:
+            assert first >> 64 & 0x1FF == 0x1FF and (first & (2**64 - 1)) + wn >= 2**64
+        else:
+            assert first & (2**73 - 1) == 0
+        # A declined cell is read by float(), which rounds ties to even.
+        path = tmp_path / "y.csv"
+        path.write_text(f"a,b\n{cell},{w}e{q - 1}\n1,1\n", encoding="ascii")
+        loaded = load_concentrations(path).values
+        assert loaded[0].tobytes() == np.array([float(cell), float(f"{w}e{q - 1}")]).tobytes()
 
 
 def reference_matrix_bytes(path, matrix, names):
