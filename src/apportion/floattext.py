@@ -444,8 +444,10 @@ def _parse_lines(data, stop: int, width: int) -> np.ndarray | None:
         numbers = slow if field is None else field.take(slow)
         try:
             block = data[len(_LEAD) : stop].decode("utf-8")
-            fields = block.replace("\r", ",").replace("\n", ",").split(",")
-            values[slow] = list(map(float, map(fields.__getitem__, numbers.tolist())))
+            cells = block.replace("\r", ",").replace("\n", ",").split(",")[:-1]
+            if slow.size < len(cells):
+                cells = map(cells.__getitem__, numbers.tolist())
+            values[slow] = list(map(float, cells))
         except ValueError:
             return None
     return values.reshape(rows, width)
