@@ -456,15 +456,19 @@ def _parse_lines(data, stop: int, width: int) -> np.ndarray | None:
 def read_rows(fh, width: int) -> np.ndarray | None:
     """The rows of ``width`` cells in the rest of binary file ``fh``, or
     None: see ``_parse_lines``.  They go into one array sized from the
-    first block's bytes per row, so that no block's rows outlive it."""
+    bytes per row of the first block with rows, so that no block's rows
+    outlive it."""
     left = os.fstat(fh.fileno()).st_size - fh.tell()
     values, filled = None, 0
     for data, stop in _line_blocks(fh):
         rows = _parse_lines(data, stop, width)
         if rows is None:
             return None
+        if not len(rows):
+            continue
         if values is None:
-            values = np.empty((len(rows) * left // (stop - len(_LEAD)) + 1, width))
+            guess = len(rows) * left // (stop - len(_LEAD))
+            values = np.empty((max(guess, len(rows)), width))
         if filled + len(rows) > len(values):
             grown = np.empty((filled + len(rows) + len(values) // 4, width))
             grown[:filled] = values[:filled]

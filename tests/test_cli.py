@@ -374,8 +374,19 @@ class TestExactReader:
             '"x,y","p\nq"\n1.5,2\n3,4.25\n',
             "a,b\n1.5e-5,2E3\n3e+0,4.25e-300\n",
             "a,b\n1.5,+2\n 3,4.25\n",
+            "a,b\n" + "\n" * 70000 + "1.5,2\n" * 5000,
         ],
-        ids=["lf", "crlf", "trailing-blank", "inner-blanks", "bom-crlf", "quoted-header", "exponents", "float-cells"],
+        ids=[
+            "lf",
+            "crlf",
+            "trailing-blank",
+            "inner-blanks",
+            "bom-crlf",
+            "quoted-header",
+            "exponents",
+            "float-cells",
+            "blank-first-block",
+        ],
     )
     def test_plain_files_take_no_cellwise_pass(self, tmp_path, monkeypatch, text):
         path = tmp_path / "y.csv"
