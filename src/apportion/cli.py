@@ -152,22 +152,38 @@ def _read_header(fh) -> list[str]:
     """The first record of binary file ``fh``, which csv.reader reads from
     its UTF-8 text after any byte-order mark; ``fh`` is left after the
     record's last line.  UnicodeDecodeError or csv.Error if it cannot."""
+    start, used = fh.tell(), 0
 
     def lines():
-        yield fh.readline().removeprefix(codecs.BOM_UTF8).decode("utf-8")
-        for line in iter(fh.readline, b""):
-            yield line.decode("utf-8")
+        # Lines end at "\r\n", "\r" or "\n", as in a text file opened
+        # with newline="".
+        nonlocal used
+        for chunk in iter(fh.readline, b""):
+            at = 0
+            while at < len(chunk):
+                end = chunk.find(b"\r", at) + 1 or len(chunk)
+                end += chunk.startswith(b"\n", end)
+                line = chunk[at:end]
+                if not used:
+                    line = line.removeprefix(codecs.BOM_UTF8)
+                used += end - at
+                at = end
+                yield line.decode("utf-8")
 
-    return next(csv.reader(lines()))
+    names = next(csv.reader(lines()), [])
+    fh.seek(start + used)
+    return names
 
 
 def load_concentrations(path: str | Path) -> ConcentrationMatrix:
     """Parse a concentration CSV: header of pollutant names, numeric body.
 
     A UTF-8 byte-order mark before the header is skipped.  The header is
-    read by ``csv.reader``, and the body, in blocks of whole lines, by
-    ``floattext.read_rows``, an exact vectorized reader, so the values are
-    bitwise those of ``float(cell)``.  Where the reader or
+    read by ``csv.reader`` and the body by ``floattext.read_rows``: cells
+    of 16-25 bytes, as ``simulate`` writes them, by an exact vectorized
+    reader, and others by ``np.loadtxt``, which is as fast there.  Both
+    round correctly, so the values are bitwise those of ``float(cell)``.
+    Where the reader or
     ``ConcentrationMatrix`` rejects the file, the cell-wise parser reads it
     again and raises the error: ParseError and its subclasses, with 1-based
     (line, column) coordinates, or ``ConcentrationMatrix``'s ValueError.

@@ -2,15 +2,18 @@
 
 The writer gives, cell by cell, the bytes of ``"%.17g" % v``; the reader
 gives the values of ``float(cell)``.  Both run in numpy on uint64 words,
-with 128-bit products where a double's digits need them.  ``apportion.cli``
-imports this module on first use, so that importing the CLI does not
-load it.
+with 128-bit products where a double's digits need them.  The reader takes
+text of long cells, where np.loadtxt is slow, and hands the rest to
+np.loadtxt.  ``apportion.cli`` imports this module on first use, so that
+importing the CLI does not load it.
 """
 
 from __future__ import annotations
 
 import functools
+import io
 import os
+import warnings
 
 import numpy as np
 
@@ -168,20 +171,33 @@ def format_cells(block: np.ndarray, seps: np.ndarray) -> bytes:
 # whole lines.  One byte scan finds the bytes that are not digits; the
 # commas and line ends among them end the cells (a "\r" ends a line, as in
 # csv.reader, and empty lines are skipped).  A cell of the grammar
-#     digits ["." digits] [("e" | "E") ["+" | "-"] 1-8 digits]
-# with 1-24 bytes before its exponent and fewer than 10**19 as the integer
-# w its digits spell is w * 10**q, q its exponent less its fraction digits.
-# One to three unaligned 8-byte windows end where the digits end; a masked
-# shift drops the point, and each window's 8 digits sum by three multiplies
-# (SWAR).  Where w <= 2**53 and |q| <= 22, one float multiply or divide
-# rounds correctly (Clinger 1990).  Otherwise Eisel and Lemire's
-# algorithm (Lemire 2021, "Number parsing at a gigabyte per second"; Go's
+#     ["+"] digits ["." digits] [("e" | "E") ["+" | "-"] 1-8 digits]
+# with 1-24 bytes before its exponent is w * 10**q, q its exponent less its
+# fraction digits, w the integer its digits spell; past 19 significant
+# digits, w is the first 19 and q counts the others.  One to three
+# unaligned 8-byte windows end where the digits end; a masked shift drops
+# the point, and each window's 8 digits sum by three multiplies (SWAR).
+# Where w <= 2**53 and |q| <= 22, one float multiply or divide rounds
+# correctly (Clinger 1990).  Otherwise Eisel and Lemire's algorithm
+# (Lemire 2021, "Number parsing at a gigabyte per second"; Go's
 # strconv.eiselLemire64) rounds w * 10**q to the nearest double from the
 # product of w's normalized bits and a 128-bit approximation of 10**q,
 # rounded down.  It declines the few products too close to a rounding
-# boundary to decide.  Those cells, every other cell, and results outside
-# the normal doubles go to float() on the cell's text.
+# boundary to decide, and a cell whose dropped digits are not all 0 is
+# decided only where w and w + 1 round alike.  Those cells, every other
+# cell, and results outside the normal doubles go to float() on the
+# cell's text.
 
+# np.loadtxt rounds a cell of at most 15 significant digits by one float
+# operation, at about the exact reader's speed or faster; past that it
+# corrects with big integers, which the exact reader does not need.  Past
+# about 20 significant digits the exact reader rounds twice (w and w + 1),
+# and past 24 bytes it calls float(), and loses again.  So it takes text
+# whose cells average 16-25 bytes, separator included, and hold only the
+# grammar's bytes, as simulate's %.17g cells do; np.loadtxt reads the rest,
+# as it did before.
+_CELL_BYTES = range(16, 26)
+_GRAMMAR = b"0123456789.eE+-,\r\n"
 # Text per block.  For cells as simulate writes them, about 20 bytes with
 # two that are not digits, every temporary of a block stays under 128 KB,
 # which glibc's malloc serves from memory it freed, as for the writer's
@@ -245,14 +261,15 @@ def _reader_tables():
 def _line_blocks(fh):
     """The rest of binary file ``fh`` in blocks of whole lines, as
     (data, stop): the block is data[24:stop], after ``_LEAD``, in a buffer
-    that the next block reuses.  A last line with no line end gets one."""
-    data = bytearray(_LEAD) + bytearray(_READ_BYTES)
+    that the next block reuses and that has 8 bytes to spare after it.  A
+    last line with no line end gets one."""
+    data = bytearray(_LEAD) + bytearray(_READ_BYTES + 8)
     filled = len(_LEAD)
     while True:
-        if filled == len(data):  # a line longer than the buffer
+        if filled == len(data) - 8:  # a line longer than the buffer
             data += bytearray(len(data))
         with memoryview(data) as view:
-            read = fh.readinto(view[filled:])
+            read = fh.readinto(view[filled:-8])
         if not read:
             if filled > len(_LEAD):
                 data[filled : filled + 1] = b"\n"
@@ -268,9 +285,21 @@ def _line_blocks(fh):
 
 def _windows(data, ends, count):
     """The ``count`` little-endian words of bytes [e - 8 * count, e) of
-    ``data``, one column for each e in ``ends``."""
-    words = np.ndarray((len(data) - 7,), "<u8", buffer=data, strides=(1,))
-    return words.take(ends - np.arange(8 * count, 0, -8)[:, None])
+    ``data``, one column for each e in ``ends``, read as the bytes of
+    ``count + 1`` aligned words shifted into place (a gather of unaligned
+    words is several times slower)."""
+    start = ends - 8 * count
+    shift = (start & 7).view(np.uint64) << _U64(3)
+    start >>= 3
+    words = np.frombuffer(data, "<u8", count=len(data) // 8)
+    low = words.take(start + np.arange(count + 1)[:, None])
+    # Shifting by 64 would keep the word: shift by 1, then by 63 - shift.
+    high = low[1:] << _U64(1)
+    high <<= _U64(63) - shift
+    low = low[:-1]
+    low >>= shift
+    low |= high
+    return low
 
 
 def _swar8(x):
@@ -288,10 +317,11 @@ def _swar8(x):
 
 
 def _mantissas(data, ends, col, words):
-    """The integer w that each mantissa's digits spell, the mantissa ending
-    at ``ends`` with the layout of column ``col`` of ``masks`` and fitting
-    in ``words`` (1-3) windows, and the mask of those with w >= 10**19,
-    whose w is not that integer."""
+    """The integer w that the first 19 significant digits of each mantissa
+    spell, the mantissa ending at ``ends`` with the layout of column ``col``
+    of ``masks`` and fitting in ``words`` (1-3) windows.  For those with
+    20-24 significant digits, also their indices, how many digits follow
+    the first 19, and the indices of those where one of these is not 0."""
     # The digits right-aligned in the windows, the point shifted out and
     # every other byte 0.
     x = _windows(data, ends, words)
@@ -302,12 +332,24 @@ def _mantissas(data, ends, col, words):
     before <<= _U64(8)
     x |= before
     _swar8(x)
-    too_long = x[0] >= _U64(1000) if words == 3 else np.zeros(len(ends), dtype=bool)
+    long = np.flatnonzero(x[0] >= _U64(1000)) if words == 3 else np.empty(0, np.intp)
+    if long.size:
+        # The first window holds 4-8 digits: keep its first 3, and drop as
+        # many from the end of the third.
+        x0, x1, x2 = x[:, long]
+        tens = _U64(10) ** np.arange(17, dtype=np.uint64)
+        dropped = np.searchsorted(tens, x0, side="right") - 3
+        cut = tens.take(dropped)
+        head = x0 * tens.take(16 - dropped) + x1 * tens.take(8 - dropped) + x2 // cut
+        inexact = long[x2 % cut != 0]
     w = x[0]
     for chunk in x[1:]:
         w *= _U64(10**8)
         w += chunk
-    return w, too_long
+    if not long.size:
+        return w, long, long, long
+    w[long] = head
+    return w, long, dropped, inexact
 
 
 def _nearest_doubles(w, qi):
@@ -396,6 +438,11 @@ def _parse_lines(data, stop: int, width: int) -> np.ndarray | None:
     if rows * width != ends.size or not eol[width - 1 :: width].all():
         return None
     last -= 1
+    if data.find(b"+", len(_LEAD), stop) >= 0:
+        # A "+" before a cell's digits, which float() skips.
+        lead = text.take(starts) == ord("+")
+        starts += lead
+        inner -= lead
 
     m_end = ends  # where each mantissa ends
     qi = np.full(ends.size, -_Q_MIN)
@@ -426,8 +473,9 @@ def _parse_lines(data, stop: int, width: int) -> np.ndarray | None:
         at = special.take(last) - m_end  # the point's place, from the end
         qi -= (-1 - at) * point
         words = -(-int(size.max(initial=1, where=~slow)) // 8)
-        w, too_long = _mantissas(data, m_end, ((at + 25) * point) * 25 + size, words)
-        slow |= too_long | (qi.view(np.uint64) > _U64(_Q_MAX - _Q_MIN))
+        w, long, dropped, inexact = _mantissas(data, m_end, ((at + 25) * point) * 25 + size, words)
+        qi[long] += dropped
+        slow |= qi.view(np.uint64) > _U64(_Q_MAX - _Q_MIN)
         # Clinger's fast path: where w and 10**|q| are doubles, one
         # correctly rounded multiply or divide gives the nearest.
         q = qi + _Q_MIN
@@ -437,6 +485,10 @@ def _parse_lines(data, stop: int, width: int) -> np.ndarray | None:
         small = (w == 0) | ((w <= _U64(2**53)) & (np.abs(q) <= 22))
         if not (small | slow).all():
             nearest, undecided = _nearest_doubles(w, qi)
+            if inexact.size:
+                # The cell lies between w * 10**q and (w + 1) * 10**q.
+                up, up_undecided = _nearest_doubles(w[inexact] + _U64(1), qi[inexact])
+                undecided[inexact] |= up_undecided | (up != nearest[inexact])
             values = np.where(small, values, nearest)
             slow |= undecided & ~small
     slow = np.flatnonzero(slow)
@@ -453,11 +505,39 @@ def _parse_lines(data, stop: int, width: int) -> np.ndarray | None:
     return values.reshape(rows, width)
 
 
+def _exact_reader_wins(sample: bytes) -> bool:
+    """Whether text that begins with ``sample`` is for the exact reader
+    rather than np.loadtxt: see ``_CELL_BYTES``."""
+    cells = max(1, sample.count(b",") + sample.count(b"\n"))
+    return not sample.translate(None, _GRAMMAR) and len(sample) // cells in _CELL_BYTES
+
+
+def _loadtxt(fh, width: int) -> np.ndarray | None:
+    """np.loadtxt's rows of the rest of binary file ``fh`` as UTF-8 text,
+    or None where it rejects the text or finds other than ``width``
+    columns."""
+    text = io.TextIOWrapper(fh, encoding="utf-8", newline="")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # an empty body warns
+            values = np.loadtxt(text, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    finally:
+        text.detach()
+    return values if values.shape[1] == width else None
+
+
 def read_rows(fh, width: int) -> np.ndarray | None:
     """The rows of ``width`` cells in the rest of binary file ``fh``, or
-    None: see ``_parse_lines``.  They go into one array sized from the
-    bytes per row of the first block with rows, so that no block's rows
-    outlive it."""
+    None where the reader rejects them: see ``_parse_lines``.  The first 4
+    KB chooses the exact reader or np.loadtxt (see ``_CELL_BYTES``).  The
+    exact reader's rows go into one array sized from the bytes per row of
+    the first block with rows, so that no block's rows outlive it."""
+    sample = fh.read(4096)
+    fh.seek(-len(sample), os.SEEK_CUR)
+    if not _exact_reader_wins(sample):
+        return _loadtxt(fh, width)
     left = os.fstat(fh.fileno()).st_size - fh.tell()
     values, filled = None, 0
     for data, stop in _line_blocks(fh):

@@ -297,6 +297,11 @@ reader_values = st.one_of(
 
 
 class TestExactReader:
+    # Every file here goes to the exact reader, whatever its cells' length.
+    @pytest.fixture(autouse=True)
+    def exact_reader_only(self, monkeypatch):
+        monkeypatch.setattr(floattext, "_exact_reader_wins", lambda sample: True)
+
     @settings(deadline=None, max_examples=200)
     @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 30), st.integers(1, 6)), elements=reader_values))
     def test_written_matrix_reads_back_bitwise(self, matrix):
@@ -355,6 +360,17 @@ class TestExactReader:
             "5E+00000003",
             "1.e5",
             ".5e-5",
+            "+1.5",
+            "+.5e+5",
+            "1.2345678901234567890123",  # 23 significant digits, 24 bytes
+            "123456789012345678901234e-30",
+            "0.12345678901234567890123",  # 25 bytes
+            "9007199254740993.0000000",  # 23 digits, the dropped ones all 0
+            # Past 19 digits: 1 + 2**-53, halfway between 1 and the next
+            # double, lies between w * 10**q and (w + 1) * 10**q ...
+            "1.000000000000000111022",  # ... and the cell is below it ...
+            "1.000000000000000111023",  # ... or above it.
+            "1.000000000000000111",
         ],
     )
     def test_cells_at_the_grammar_edges(self, tmp_path, cell):
@@ -375,6 +391,7 @@ class TestExactReader:
             "a,b\n1.5e-5,2E3\n3e+0,4.25e-300\n",
             "a,b\n1.5,+2\n 3,4.25\n",
             "a,b\n" + "\n" * 70000 + "1.5,2\n" * 5000,
+            "a,b\r1.5,2\r3,4.25\r",
         ],
         ids=[
             "lf",
@@ -386,6 +403,7 @@ class TestExactReader:
             "exponents",
             "float-cells",
             "blank-first-block",
+            "cr",
         ],
     )
     def test_plain_files_take_no_cellwise_pass(self, tmp_path, monkeypatch, text):
@@ -451,6 +469,41 @@ class TestExactReader:
         path.write_text(f"a,b\n{cell},{w}e{q - 1}\n1,1\n", encoding="ascii")
         loaded = load_concentrations(path).values
         assert loaded[0].tobytes() == np.array([float(cell), float(f"{w}e{q - 1}")]).tobytes()
+
+
+def no_exact_reader(data, stop, width):
+    raise AssertionError("the exact reader ran")
+
+
+def no_loadtxt(fh, width):
+    raise AssertionError("np.loadtxt ran")
+
+
+class TestReaderChoice:
+    @pytest.mark.parametrize("newline,tail", [("\n", ""), ("\r\n", "\r\n"), ("\r", "")], ids=["lf", "crlf-blank", "cr"])
+    def test_simulate_output_takes_the_exact_reader(self, tmp_path, monkeypatch, newline, tail):
+        out = tmp_path / "sim"
+        assert main(["simulate", "--n", "300", "--J", "8", "--K", "3", "--seed", "4", "--out", str(out)]) == 0
+        path = out / "y.csv"
+        text = path.read_text(encoding="ascii").replace("\n", newline) + tail
+        path.write_bytes(text.encode("ascii"))
+        monkeypatch.setattr(floattext, "_loadtxt", no_loadtxt)
+        monkeypatch.setattr(cli, "_load_cellwise", no_cellwise)
+        assert load_concentrations(path).values.tobytes() == float_cells(path).tobytes()
+
+    @pytest.mark.parametrize(
+        "fmt,sep",
+        [("%.3e", ","), ("%.6g", ","), ("%.10g", ","), ("%.17g", ", "), ("%.17g", ",\t"), ("%.25f", ",")],
+        ids=["3e", "6g", "10g", "space", "tab", "25f"],
+    )
+    def test_short_long_or_spaced_cells_take_loadtxt(self, tmp_path, monkeypatch, fmt, sep):
+        values = np.random.default_rng(8).lognormal(size=(200, 4))
+        path = tmp_path / "y.csv"
+        lines = ["a,b,c,d"] + [sep.join(fmt % v for v in row) for row in values]
+        path.write_text("\n".join(lines) + "\n", encoding="ascii")
+        monkeypatch.setattr(floattext, "_parse_lines", no_exact_reader)
+        monkeypatch.setattr(cli, "_load_cellwise", no_cellwise)
+        assert load_concentrations(path).values.tobytes() == float_cells(path).tobytes()
 
 
 def reference_matrix_bytes(path, matrix, names):
