@@ -100,14 +100,7 @@ def _read_labeled_matrix(path: Path) -> tuple[list[str], np.ndarray]:
     the cell-wise parser's row and cell rules (any finite value is
     allowed)."""
     with open(path, encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(_utf8_checked(fh))
-        header = next(reader, None)
-        if header is None:
-            raise ParseError(1, 1, "empty file")
-        rows = [
-            [_number(c, line_no, col) for col, c in enumerate(row[1:], start=2)]
-            for line_no, row in _data_rows(reader, len(header))
-        ]
+        header, rows = _cellwise_rows(fh, first=1, negative_ok=True)
     return header[1:], np.asarray(rows)
 
 
@@ -179,9 +172,10 @@ def load_concentrations(path: str | Path) -> ConcentrationMatrix:
     """Parse a concentration CSV: header of pollutant names, numeric body.
 
     A UTF-8 byte-order mark before the header is skipped.  The header is
-    read by ``csv.reader`` and the body by ``floattext.read_rows``: cells
-    of 16-25 bytes, as ``simulate`` writes them, by an exact vectorized
-    reader, and others by ``np.loadtxt``, which is as fast there.  Both
+    read by ``csv.reader`` and the body by ``floattext.read_rows``: block
+    by block by an exact vectorized reader, as for ``simulate``'s cells,
+    and by ``np.loadtxt`` from the first block the exact reader declines
+    on, or from the start where the cells average under 16 bytes.  Both
     round correctly, so the values are bitwise those of ``float(cell)``.
     Where the reader or
     ``ConcentrationMatrix`` rejects the file, the cell-wise parser reads it
@@ -222,23 +216,30 @@ def _utf8_checked(fh):
     return fh
 
 
-def _load_cellwise(fh) -> ConcentrationMatrix:
-    """Parse cell by cell, raising at the first bad cell or row, once the
-    whole file is found to be UTF-8."""
+def _cellwise_rows(fh, first: int, negative_ok: bool) -> tuple[list[str], list[list[float]]]:
+    """The header of CSV text file ``fh`` and the values of each data row
+    from its column ``first`` (0-based) on, read cell by cell once the
+    whole file is found to be UTF-8.  ParseError at the first bad cell or
+    row, NegativeValue at a negative value unless ``negative_ok``."""
     reader = csv.reader(_utf8_checked(fh))
-    try:
-        names = next(reader)
-    except StopIteration:
-        raise ParseError(1, 1, "empty file") from None
+    header = next(reader, None)
+    if header is None:
+        raise ParseError(1, 1, "empty file")
     rows = []
-    for line_no, row in _data_rows(reader, len(names)):
+    for line_no, row in _data_rows(reader, len(header)):
         parsed = []
-        for col_no, cell in enumerate(row, start=1):
+        for col_no, cell in enumerate(row[first:], start=first + 1):
             value = _number(cell, line_no, col_no)
-            if value < 0:
+            if value < 0 and not negative_ok:
                 raise NegativeValue(line_no, col_no)
             parsed.append(value)
         rows.append(parsed)
+    return header, rows
+
+
+def _load_cellwise(fh) -> ConcentrationMatrix:
+    """Parse cell by cell, raising at the first bad cell or row."""
+    names, rows = _cellwise_rows(fh, first=0, negative_ok=False)
     return ConcentrationMatrix(np.asarray(rows), tuple(names))
 
 

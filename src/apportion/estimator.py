@@ -27,6 +27,7 @@ from .exceptions import (
     DegenerateCloud,
     DroppedRowsWarning,
     NegativeMeanWarning,
+    RowSumOverflow,
     ZeroDenominator,
 )
 from .geometry import VertexSubset
@@ -201,10 +202,16 @@ def row_normalize(y: ConcentrationMatrix) -> RowNormalizedData:
     A row with zero sum has no direction, so it is dropped, with a
     DroppedRowsWarning; ``kept_rows`` maps the remaining rows back to Y.
     Some row always remains: ConcentrationMatrix requires a positive entry
-    in every column.
+    in every column.  A row whose sum overflows raises RowSumOverflow,
+    naming the first such row, 1-based.
     """
     vals = y.values
-    sums = vals.sum(axis=1)
+    with np.errstate(over="ignore"):
+        sums = vals.sum(axis=1)
+    # The values are finite and non-negative: only an overflow makes inf.
+    over = np.flatnonzero(np.isinf(sums))
+    if over.size:
+        raise RowSumOverflow(int(over[0]) + 1)
     zero = sums <= 0.0
     if zero.any():
         warnings.warn(

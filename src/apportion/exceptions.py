@@ -46,6 +46,16 @@ class ZeroDenominator(ApportionError):
         self.column = column
 
 
+class RowSumOverflow(ApportionError):
+    """A row's concentrations sum past the largest float64."""
+
+    def __init__(self, row: int):
+        super().__init__(
+            f"row {row} sums past the largest float64; rescale the concentrations"
+        )
+        self.row = row
+
+
 class ShapeMismatch(ApportionError):
     """Matrix operands have incompatible shapes."""
 

@@ -2,10 +2,11 @@
 
 The writer gives, cell by cell, the bytes of ``"%.17g" % v``; the reader
 gives the values of ``float(cell)``.  Both run in numpy on uint64 words,
-with 128-bit products where a double's digits need them.  The reader takes
-text of long cells, where np.loadtxt is slow, and hands the rest to
-np.loadtxt.  ``apportion.cli`` imports this module on first use, so that
-importing the CLI does not load it.
+with 128-bit products where a double's digits need them.  The reader reads
+each block of lines exactly while every cell of the block is of its form
+and rounds in one step, and hands the body from the first block that is
+not on to np.loadtxt.  ``apportion.cli`` imports this module on first use,
+so that importing the CLI does not load it.
 """
 
 from __future__ import annotations
@@ -170,34 +171,32 @@ def format_cells(block: np.ndarray, seps: np.ndarray) -> bytes:
 # The exact reader, the writer's inverse.  The body is read in blocks of
 # whole lines.  One byte scan finds the bytes that are not digits; the
 # commas and line ends among them end the cells (a "\r" ends a line, as in
-# csv.reader, and empty lines are skipped).  A cell of the grammar
+# csv.reader, and empty lines are skipped).  A cell
 #     ["+"] digits ["." digits] [("e" | "E") ["+" | "-"] 1-8 digits]
-# with 1-24 bytes before its exponent is w * 10**q, q its exponent less its
-# fraction digits, w the integer its digits spell; past 19 significant
-# digits, w is the first 19 and q counts the others.  One to three
-# unaligned 8-byte windows end where the digits end; a masked shift drops
-# the point, and each window's 8 digits sum by three multiplies (SWAR).
-# Where w <= 2**53 and |q| <= 22, one float multiply or divide rounds
-# correctly (Clinger 1990).  Otherwise Eisel and Lemire's algorithm
-# (Lemire 2021, "Number parsing at a gigabyte per second"; Go's
-# strconv.eiselLemire64) rounds w * 10**q to the nearest double from the
-# product of w's normalized bits and a 128-bit approximation of 10**q,
-# rounded down.  It declines the few products too close to a rounding
-# boundary to decide, and a cell whose dropped digits are not all 0 is
-# decided only where w and w + 1 round alike.  Those cells, every other
-# cell, and results outside the normal doubles go to float() on the
-# cell's text.
-
-# np.loadtxt rounds a cell of at most 15 significant digits by one float
-# operation, at about the exact reader's speed or faster; past that it
-# corrects with big integers, which the exact reader does not need.  Past
-# about 20 significant digits the exact reader rounds twice (w and w + 1),
-# and past 24 bytes it calls float(), and loses again.  So it takes text
-# whose cells average 16-25 bytes, separator included, and hold only the
-# grammar's bytes, as simulate's %.17g cells do; np.loadtxt reads the rest,
-# as it did before.
-_CELL_BYTES = range(16, 26)
-_GRAMMAR = b"0123456789.eE+-,\r\n"
+# with 1-24 bytes before its exponent and at most 19 significant digits is
+# w * 10**q, w the integer its digits spell and q its exponent less its
+# fraction digits.  One to three unaligned 8-byte windows end where the
+# digits end; a masked shift drops the point, and each window's 8 digits
+# sum by three multiplies (SWAR).  Where w <= 2**53 and |q| <= 22, one
+# float multiply or divide rounds correctly (Clinger 1990).  Otherwise
+# Eisel and Lemire's algorithm (Lemire 2021, "Number parsing at a gigabyte
+# per second"; Go's strconv.eiselLemire64) rounds w * 10**q to the nearest
+# double from the product of w's normalized bits and a 128-bit
+# approximation of 10**q, rounded down.  It declines the few products too
+# close to a rounding boundary to decide, and results outside the normal
+# doubles.
+#
+# A block is read exactly only if every cell in it is.  At the first block
+# with a cell of another form, or a declined one, np.loadtxt reads the
+# rest of the body, from that block's first byte on.  It rounds correctly
+# too, so either way the values are those of float().  Past 15 significant
+# digits np.loadtxt corrects with big integers, and the exact reader takes
+# about half its time on simulate's %.17g cells.  On short cells neither
+# wins throughout: the exact reader is about 10% faster on %.4g, %.6g or
+# %.4f cells, np.loadtxt 1.5x faster on %.3e.  A body whose first 4 KB
+# averages under _CELL_BYTES bytes a cell, separator included, goes to
+# np.loadtxt whole, before any block is parsed.
+_CELL_BYTES = 16
 # Text per block.  For cells as simulate writes them, about 20 bytes with
 # two that are not digits, every temporary of a block stays under 128 KB,
 # which glibc's malloc serves from memory it freed, as for the writer's
@@ -248,7 +247,7 @@ def _reader_tables():
         np.array(pow_hi, dtype=np.uint64),
         np.array(pow_lo, dtype=np.uint64),
         np.array(bias, dtype=np.uint64),
-        np.array([float(10**q) for q in range(23)]),
+        np.array([10**q for q in range(23)], dtype=np.float64),
         cls,
         masks,
         exp_mask,
@@ -260,11 +259,12 @@ def _reader_tables():
 
 def _line_blocks(fh):
     """The rest of binary file ``fh`` in blocks of whole lines, as
-    (data, stop): the block is data[24:stop], after ``_LEAD``, in a buffer
-    that the next block reuses and that has 8 bytes to spare after it.  A
-    last line with no line end gets one."""
+    (data, stop, at): the block is data[24:stop], after ``_LEAD``, in a
+    buffer that the next block reuses and that has 8 bytes to spare after
+    it, and begins at byte ``at`` of the file.  A last line with no line
+    end gets one."""
     data = bytearray(_LEAD) + bytearray(_READ_BYTES + 8)
-    filled = len(_LEAD)
+    filled, at = len(_LEAD), fh.tell()
     while True:
         if filled == len(data) - 8:  # a line longer than the buffer
             data += bytearray(len(data))
@@ -273,12 +273,13 @@ def _line_blocks(fh):
         if not read:
             if filled > len(_LEAD):
                 data[filled : filled + 1] = b"\n"
-                yield data, filled + 1
+                yield data, filled + 1, at
             return
         filled += read
         stop = max(data.rfind(b"\n", 0, filled), data.rfind(b"\r", 0, filled)) + 1
         if stop > len(_LEAD):
-            yield data, stop
+            yield data, stop, at
+            at += stop - len(_LEAD)
             data[len(_LEAD) : len(_LEAD) + filled - stop] = data[stop:filled]
             filled -= stop - len(_LEAD)
 
@@ -317,11 +318,10 @@ def _swar8(x):
 
 
 def _mantissas(data, ends, col, words):
-    """The integer w that the first 19 significant digits of each mantissa
-    spell, the mantissa ending at ``ends`` with the layout of column ``col``
-    of ``masks`` and fitting in ``words`` (1-3) windows.  For those with
-    20-24 significant digits, also their indices, how many digits follow
-    the first 19, and the indices of those where one of these is not 0."""
+    """The integer w that the digits of each mantissa spell, the mantissa
+    ending at ``ends`` with the layout of column ``col`` of ``masks`` and
+    fitting in ``words`` (1-3) windows; None where one has more than 19
+    significant digits, which a uint64 may not hold."""
     # The digits right-aligned in the windows, the point shifted out and
     # every other byte 0.
     x = _windows(data, ends, words)
@@ -332,29 +332,20 @@ def _mantissas(data, ends, col, words):
     before <<= _U64(8)
     x |= before
     _swar8(x)
-    long = np.flatnonzero(x[0] >= _U64(1000)) if words == 3 else np.empty(0, np.intp)
-    if long.size:
-        # The first window holds 4-8 digits: keep its first 3, and drop as
-        # many from the end of the third.
-        x0, x1, x2 = x[:, long]
-        tens = _U64(10) ** np.arange(17, dtype=np.uint64)
-        dropped = np.searchsorted(tens, x0, side="right") - 3
-        cut = tens.take(dropped)
-        head = x0 * tens.take(16 - dropped) + x1 * tens.take(8 - dropped) + x2 // cut
-        inexact = long[x2 % cut != 0]
+    # 4 digits in the first window make 20: test before w, that window, grows.
+    if words == 3 and (x[0] >= _U64(1000)).any():
+        return None
     w = x[0]
     for chunk in x[1:]:
         w *= _U64(10**8)
         w += chunk
-    if not long.size:
-        return w, long, long, long
-    w[long] = head
-    return w, long, dropped, inexact
+    return w
 
 
 def _nearest_doubles(w, qi):
     """The doubles nearest w * 10**(qi + _Q_MIN) for uint64 w >= 1, and the
-    mask of those Eisel-Lemire leaves undecided or finds not normal."""
+    mask of those Eisel-Lemire leaves undecided, finds subnormal or finds
+    at or past 2**1024 before rounding."""
     pow_hi, pow_lo, bias, *_ = _reader_tables()
     # Shift w's top bit to bit 63.  The float's exponent can be one too
     # high when w rounds up to a power of two; the top bit tells.
@@ -383,8 +374,9 @@ def _nearest_doubles(w, qi):
     exponent += ew
     exponent += top
     exponent += msb
-    # Biased exponents 1-2045: a normal double even if rounding carries.
-    undecided = exponent > _U64(2044)
+    # Biased exponents 1-2046: a normal double, or, where rounding carries
+    # out of the largest, inf, which is float()'s value there too.
+    undecided = exponent > _U64(2045)
     undecided[wide] = True
     # A product that may lie halfway between two doubles, which rounding
     # half up below would get wrong when the lower one is even.
@@ -403,9 +395,9 @@ def _nearest_doubles(w, qi):
 
 def _parse_lines(data, stop: int, width: int) -> np.ndarray | None:
     """The rows of ``width`` cells in data[24:stop], whose last byte ends
-    a line, bitwise as ``float(cell)`` reads each cell.  None where
-    csv.reader would split the text into other rows, or float() rejects a
-    cell (a quoted cell, too, since float() rejects every '"')."""
+    a line, bitwise as ``float(cell)`` reads each cell.  None where a cell
+    is not of the exact reader's form or Eisel-Lemire declines it, and
+    where csv.reader would split the text into other rows."""
     *_, exact, byte_class, _, exp_mask = _reader_tables()
     text = np.frombuffer(data, np.uint8, count=stop)
     special = text - np.uint8(48)
@@ -424,7 +416,6 @@ def _parse_lines(data, stop: int, width: int) -> np.ndarray | None:
     np.subtract(last[1:], last[:-1], out=inner[1:])
     inner -= 1
     eol = cls.take(last) == _EOL
-    field = None  # where empty lines are dropped, each kept cell's place among all
     if not (ends - starts).all():
         # Empty lines are skipped; an empty field fails.
         empty = ends == starts
@@ -432,8 +423,8 @@ def _parse_lines(data, stop: int, width: int) -> np.ndarray | None:
         blank[1:] &= eol[:-1]
         if (empty & ~blank).any():
             return None
-        field = np.flatnonzero(~blank)
-        ends, starts, inner, last, eol = (a.take(field) for a in (ends, starts, inner, last, eol))
+        kept = np.flatnonzero(~blank)
+        ends, starts, inner, last, eol = (a.take(kept) for a in (ends, starts, inner, last, eol))
     rows = np.count_nonzero(eol)
     if rows * width != ends.size or not eol[width - 1 :: width].all():
         return None
@@ -446,7 +437,6 @@ def _parse_lines(data, stop: int, width: int) -> np.ndarray | None:
 
     m_end = ends  # where each mantissa ends
     qi = np.full(ends.size, -_Q_MIN)
-    slow = np.zeros(ends.size, dtype=bool)
     if (cls == _EXP).any():
         sign = text.take(special.take(last))
         minus = sign == ord("-")
@@ -456,60 +446,39 @@ def _parse_lines(data, stop: int, width: int) -> np.ndarray | None:
         digits = ends - special.take(last)
         digits -= 1
         digits *= has_exp
+        if (has_exp & ((digits - 1).view(np.uint64) > _U64(7))).any():
+            return None
         exp = _windows(data, ends, 1)[0]
-        exp &= exp_mask.take(digits, mode="clip")
+        exp &= exp_mask.take(digits)
         exp = _swar8(exp).view(np.int64)
         qi += exp
         qi -= 2 * exp * minus
-        slow = has_exp & ((digits - 1).view(np.uint64) > _U64(7))
         m_end = np.where(has_exp, special.take(e_at), ends)
         inner = inner - has_exp * (1 + signed)
         last = np.where(has_exp, e_at - 1, last)
     point = (inner == 1) & (cls.take(last) == _DOT)
     size = m_end - starts
-    slow |= (inner != point) | (size > 24) | (size == point)
-    values = np.empty(ends.size)
-    if not slow.all():
-        at = special.take(last) - m_end  # the point's place, from the end
-        qi -= (-1 - at) * point
-        words = -(-int(size.max(initial=1, where=~slow)) // 8)
-        w, long, dropped, inexact = _mantissas(data, m_end, ((at + 25) * point) * 25 + size, words)
-        qi[long] += dropped
-        slow |= qi.view(np.uint64) > _U64(_Q_MAX - _Q_MIN)
-        # Clinger's fast path: where w and 10**|q| are doubles, one
-        # correctly rounded multiply or divide gives the nearest.
-        q = qi + _Q_MIN
-        scale = exact.take(np.abs(q), mode="clip")
-        values = w.astype(np.float64)
-        values = np.where(q < 0, values / scale, values * scale)
-        small = (w == 0) | ((w <= _U64(2**53)) & (np.abs(q) <= 22))
-        if not (small | slow).all():
-            nearest, undecided = _nearest_doubles(w, qi)
-            if inexact.size:
-                # The cell lies between w * 10**q and (w + 1) * 10**q.
-                up, up_undecided = _nearest_doubles(w[inexact] + _U64(1), qi[inexact])
-                undecided[inexact] |= up_undecided | (up != nearest[inexact])
-            values = np.where(small, values, nearest)
-            slow |= undecided & ~small
-    slow = np.flatnonzero(slow)
-    if slow.size:
-        numbers = slow if field is None else field.take(slow)
-        try:
-            block = data[len(_LEAD) : stop].decode("utf-8")
-            cells = block.replace("\r", ",").replace("\n", ",").split(",")[:-1]
-            if slow.size < len(cells):
-                cells = map(cells.__getitem__, numbers.tolist())
-            values[slow] = list(map(float, cells))
-        except ValueError:
+    if ((inner != point) | (size > 24) | (size == point)).any():
+        return None
+    at = special.take(last) - m_end  # the point's place, from the end
+    qi -= (-1 - at) * point
+    words = -(-int(size.max(initial=1)) // 8)
+    w = _mantissas(data, m_end, ((at + 25) * point) * 25 + size, words)
+    if w is None or (qi.view(np.uint64) > _U64(_Q_MAX - _Q_MIN)).any():
+        return None
+    # Clinger's fast path: where w and 10**|q| are doubles, one correctly
+    # rounded multiply or divide gives the nearest.
+    q = qi + _Q_MIN
+    scale = exact.take(np.abs(q), mode="clip")
+    values = w.astype(np.float64)
+    values = np.where(q < 0, values / scale, values * scale)
+    small = (w == 0) | ((w <= _U64(2**53)) & (np.abs(q) <= 22))
+    if not small.all():
+        nearest, undecided = _nearest_doubles(w, qi)
+        if (undecided & ~small).any():
             return None
+        values = np.where(small, values, nearest)
     return values.reshape(rows, width)
-
-
-def _exact_reader_wins(sample: bytes) -> bool:
-    """Whether text that begins with ``sample`` is for the exact reader
-    rather than np.loadtxt: see ``_CELL_BYTES``."""
-    cells = max(1, sample.count(b",") + sample.count(b"\n"))
-    return not sample.translate(None, _GRAMMAR) and len(sample) // cells in _CELL_BYTES
 
 
 def _loadtxt(fh, width: int) -> np.ndarray | None:
@@ -530,20 +499,26 @@ def _loadtxt(fh, width: int) -> np.ndarray | None:
 
 def read_rows(fh, width: int) -> np.ndarray | None:
     """The rows of ``width`` cells in the rest of binary file ``fh``, or
-    None where the reader rejects them: see ``_parse_lines``.  The first 4
-    KB chooses the exact reader or np.loadtxt (see ``_CELL_BYTES``).  The
-    exact reader's rows go into one array sized from the bytes per row of
-    the first block with rows, so that no block's rows outlive it."""
-    sample = fh.read(4096)
-    fh.seek(-len(sample), os.SEEK_CUR)
-    if not _exact_reader_wins(sample):
-        return _loadtxt(fh, width)
-    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    None where np.loadtxt rejects them.  Each block goes to the exact
+    reader until it declines one, and np.loadtxt reads the rest of the
+    body from that block's first byte on (see ``_CELL_BYTES``).  The exact
+    reader's rows go into one array sized from the bytes per row of the
+    first block with rows, so that no block's rows outlive it."""
+    start = fh.tell()
+    left = os.fstat(fh.fileno()).st_size - start
     values, filled = None, 0
-    for data, stop in _line_blocks(fh):
-        rows = _parse_lines(data, stop, width)
+    for data, stop, at in _line_blocks(fh):
+        if at == start:  # the first block: are its first 4 KB short cells?
+            sample = data[len(_LEAD) : min(stop, len(_LEAD) + 4096)]
+            cells = max(1, sample.count(b",") + sample.count(b"\n"))
+            short = len(sample) < _CELL_BYTES * cells
+        rows = None if short else _parse_lines(data, stop, width)
         if rows is None:
-            return None
+            fh.seek(at)
+            rest = _loadtxt(fh, width)
+            if rest is None or values is None:
+                return rest
+            return np.concatenate([values[:filled], rest])
         if not len(rows):
             continue
         if values is None:

@@ -297,10 +297,11 @@ reader_values = st.one_of(
 
 
 class TestExactReader:
-    # Every file here goes to the exact reader, whatever its cells' length.
+    # The exact reader reads every file here first, whatever its cells'
+    # length, and declines what it cannot read to np.loadtxt.
     @pytest.fixture(autouse=True)
     def exact_reader_only(self, monkeypatch):
-        monkeypatch.setattr(floattext, "_exact_reader_wins", lambda sample: True)
+        monkeypatch.setattr(floattext, "_CELL_BYTES", 0)
 
     @settings(deadline=None, max_examples=200)
     @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 30), st.integers(1, 6)), elements=reader_values))
@@ -317,20 +318,43 @@ class TestExactReader:
 
     def test_random_bit_patterns_match_float(self, tmp_path):
         rng = np.random.default_rng(30)
-        formats = ["%.17g", "%r", "%.15g", "%.20f"]
         path = tmp_path / "y.csv"
         for _ in range(2**5):
             # Non-negative finite doubles: 2**20 of them in all.
             bits = rng.integers(0, 0x7FF << 52, size=2**15, dtype=np.uint64)
-            values = bits.view(np.float64).tolist()
-            columns = [[fmt % v for v in values] for fmt in formats]
-            lines = list(map(",".join, zip(*columns)))
-            path.write_text("a,b,c,d\n" + "\n".join(lines) + "\n1,1,1,1\n", encoding="ascii")
-            loaded = load_concentrations(path).values[:-1]
-            expected = np.array([list(map(float, column)) for column in columns]).T
-            mismatched = np.flatnonzero((loaded != expected).any(axis=1))
-            assert [lines[i] for i in mismatched[:5]] == []
-            assert loaded.tobytes() == expected.tobytes()
+            values = bits.view(np.float64)
+            columns = [[fmt % v for v in values.tolist()] for fmt in ["%.17g", "%r", "%.15g"]]
+            # The exact reader reads every row but those with a cell that
+            # Eisel-Lemire declines: a subnormal, or one that spells its
+            # double exactly with fraction digits and w > 2**53, such as
+            # "6554369906548725.0", where the power of ten, rounded down,
+            # puts the product just under a double.  np.loadtxt reads those
+            # rows, and the %.20f cells, most of which are too long for the
+            # exact reader.  w > 2**53 in at most 17 digits: 2**53 / 1e17 < v.
+            read = np.array([list(map(float, column)) for column in columns])
+            undecided = ((read > 0) & (read < 2**-1022)).any(axis=0)
+            for i in np.flatnonzero((values > 2**53 / 1e17) & (values < 1e17)).tolist():
+                undecided[i] = any(spells_exactly(column[i], values[i]) for column in columns)
+            files = [
+                (columns, ~undecided, no_loadtxt),
+                (columns, undecided, floattext._loadtxt),
+                ([["%.20f" % v for v in values.tolist()]], np.ones_like(undecided), floattext._loadtxt),
+            ]
+            for file_columns, rows, loadtxt in files:
+                rows = np.flatnonzero(rows).tolist()
+                if not rows:
+                    continue
+                cells = [[column[i] for i in rows] for column in file_columns]
+                lines = list(map(",".join, zip(*cells)))
+                header = ",".join("abc"[: len(cells)])
+                path.write_text(header + "\n" + "\n".join(lines) + "\n", encoding="ascii")
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(floattext, "_loadtxt", loadtxt)
+                    loaded = load_concentrations(path).values
+                expected = np.array([list(map(float, column)) for column in cells]).T
+                mismatched = np.flatnonzero((loaded != expected).any(axis=1))
+                assert [lines[i] for i in mismatched[:5]] == []
+                assert loaded.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize(
         "cell",
@@ -365,9 +389,9 @@ class TestExactReader:
             "1.2345678901234567890123",  # 23 significant digits, 24 bytes
             "123456789012345678901234e-30",
             "0.12345678901234567890123",  # 25 bytes
-            "9007199254740993.0000000",  # 23 digits, the dropped ones all 0
-            # Past 19 digits: 1 + 2**-53, halfway between 1 and the next
-            # double, lies between w * 10**q and (w + 1) * 10**q ...
+            "9007199254740993.0000000",  # 23 digits, the last 7 all 0
+            # Past 19 digits, which np.loadtxt reads: 1 + 2**-53 is halfway
+            # between 1 and the next double ...
             "1.000000000000000111022",  # ... and the cell is below it ...
             "1.000000000000000111023",  # ... or above it.
             "1.000000000000000111",
@@ -464,11 +488,19 @@ class TestExactReader:
             assert first >> 64 & 0x1FF == 0x1FF and (first & (2**64 - 1)) + wn >= 2**64
         else:
             assert first & (2**73 - 1) == 0
-        # A declined cell is read by float(), which rounds ties to even.
+        # A declined cell is read by np.loadtxt, which rounds ties to even.
         path = tmp_path / "y.csv"
         path.write_text(f"a,b\n{cell},{w}e{q - 1}\n1,1\n", encoding="ascii")
         loaded = load_concentrations(path).values
         assert loaded[0].tobytes() == np.array([float(cell), float(f"{w}e{q - 1}")]).tobytes()
+
+
+def spells_exactly(cell, value):
+    """Whether ``cell``, in fixed notation with fraction digits, is double
+    ``value`` exactly, and its digits spell an integer past 2**53."""
+    if "." not in cell or "e" in cell or int(cell.replace(".", "")) <= 2**53:
+        return False
+    return decimal.Decimal(cell) == decimal.Decimal(value)
 
 
 def no_exact_reader(data, stop, width):
@@ -477,6 +509,19 @@ def no_exact_reader(data, stop, width):
 
 def no_loadtxt(fh, width):
     raise AssertionError("np.loadtxt ran")
+
+
+@pytest.fixture
+def loadtxt_offsets(monkeypatch):
+    """The file offset at each call of floattext._loadtxt."""
+    offsets, loadtxt = [], floattext._loadtxt
+
+    def spy(fh, width):
+        offsets.append(fh.tell())
+        return loadtxt(fh, width)
+
+    monkeypatch.setattr(floattext, "_loadtxt", spy)
+    return offsets
 
 
 class TestReaderChoice:
@@ -492,18 +537,64 @@ class TestReaderChoice:
         assert load_concentrations(path).values.tobytes() == float_cells(path).tobytes()
 
     @pytest.mark.parametrize(
-        "fmt,sep",
-        [("%.3e", ","), ("%.6g", ","), ("%.10g", ","), ("%.17g", ", "), ("%.17g", ",\t"), ("%.25f", ",")],
+        "fmt,sep,short",
+        [
+            ("%.3e", ",", True),
+            ("%.6g", ",", True),
+            ("%.10g", ",", True),
+            ("%.17g", ", ", False),
+            ("%.17g", ",\t", False),
+            ("%.25f", ",", False),
+        ],
         ids=["3e", "6g", "10g", "space", "tab", "25f"],
     )
-    def test_short_long_or_spaced_cells_take_loadtxt(self, tmp_path, monkeypatch, fmt, sep):
+    def test_short_long_or_spaced_cells_take_loadtxt(self, tmp_path, monkeypatch, loadtxt_offsets, fmt, sep, short):
+        # np.loadtxt reads the whole body.  Short cells go to it before the
+        # exact reader sees them; the exact reader declines the others.
         values = np.random.default_rng(8).lognormal(size=(200, 4))
         path = tmp_path / "y.csv"
         lines = ["a,b,c,d"] + [sep.join(fmt % v for v in row) for row in values]
         path.write_text("\n".join(lines) + "\n", encoding="ascii")
-        monkeypatch.setattr(floattext, "_parse_lines", no_exact_reader)
+        if short:
+            monkeypatch.setattr(floattext, "_parse_lines", no_exact_reader)
         monkeypatch.setattr(cli, "_load_cellwise", no_cellwise)
         assert load_concentrations(path).values.tobytes() == float_cells(path).tobytes()
+        assert loadtxt_offsets == [len("a,b,c,d\n")]
+
+    @pytest.mark.parametrize(
+        "cell", ["0.123456789012345678901234", " 0.25", "9007199254740993"], ids=["26-bytes", "space", "undecided"]
+    )
+    def test_declined_block_hands_the_rest_to_loadtxt(self, tmp_path, monkeypatch, loadtxt_offsets, cell):
+        out = tmp_path / "sim"
+        assert main(["simulate", "--n", "400", "--J", "8", "--K", "3", "--seed", "4", "--out", str(out)]) == 0
+        path = out / "y.csv"
+        lines = path.read_bytes().split(b"\n")
+        # Row 300's third cell, some 48 KB into the body, past its first 4 KB.
+        row = lines[300].split(b",")
+        row[2] = cell.encode("ascii")
+        lines[300] = b",".join(row)
+        path.write_bytes(b"\n".join(lines))
+        header = len(lines[0]) + 1
+        assert path.read_bytes().index(lines[300]) > header + 4096
+
+        blocks, parse_lines = [], floattext._parse_lines
+
+        def parse_spy(data, stop, width):
+            rows = parse_lines(data, stop, width)
+            blocks.append((bytes(data[24:stop]), rows is not None))
+            return rows
+
+        monkeypatch.setattr(floattext, "_READ_BYTES", 4096)
+        monkeypatch.setattr(floattext, "_parse_lines", parse_spy)
+        monkeypatch.setattr(cli, "_load_cellwise", no_cellwise)
+        assert load_concentrations(path).values.tobytes() == float_cells(path).tobytes()
+        # The exact reader read the blocks before the declined one, from the
+        # body's first byte on, and np.loadtxt the rest, once.
+        assert [read for _, read in blocks] == [True] * (len(blocks) - 1) + [False]
+        declined = blocks[-1][0]
+        assert lines[300] + b"\n" in declined
+        assert loadtxt_offsets == [header + sum(len(text) for text, _ in blocks[:-1])]
+        assert path.read_bytes()[loadtxt_offsets[0] :].startswith(declined)
 
 
 def reference_matrix_bytes(path, matrix, names):
@@ -893,6 +984,17 @@ class TestEstimateCommand:
         assert main(["estimate", "--input", str(path), "--K", k, "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith(category + ":")
         assert not (tmp_path / "o").exists()
+
+    def test_row_sum_overflow_names_the_row(self, tmp_path, capsys):
+        path = tmp_path / "y.csv"
+        path.write_text("a,b,c\n1,2,3\n1e308,1e308,1\n2,1,5\n3,3,1\n0.5,4,2\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["estimate", "--input", str(path), "--K", "2", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "RowSumOverflow: [row_normalize] row 2 sums past the largest float64;"
+            " rescale the concentrations\n"
+        )
+        assert not out.exists()
 
     def test_zero_denominator_line_names_pollutant(self, tmp_path, capsys):
         # SO4 is nonzero only in the third row, which lies between the two
